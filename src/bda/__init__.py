@@ -6,9 +6,10 @@ directions, reverse/forward/implicit/one-stage hypergradient estimators, and
 a verification suite that audits the method's descent inequality, complexity
 bound, and hypergradient consistency numerically.
 """
+import importlib
+
 from .numerics import (BoxRegion, CapabilityError, ContractError,
-                       NumericalError, as_matrix, as_vector, project_box,
-                       rng_stream)
+                       NumericalError, as_matrix, as_vector, rng_stream)
 from .problems import (BilevelProblem, HypercleanConfig, lls_quadratic,
                        make_counterexample, make_hypercleaning,
                        make_lls_quadratic, make_problem, make_remark1,
@@ -19,7 +20,6 @@ from .hypergrad import (HypergradResult, hypergrad_forward, hypergrad_implicit,
                         hypergrad_onestage, hypergrad_reverse)
 from .outer import METHODS, RunRecord, SolverConfig, outer_step, solve
 from . import verify
-from . import harness
 
 __all__ = [
     "AggregationSchedule", "BilevelProblem", "BoxRegion", "CapabilityError",
@@ -30,8 +30,15 @@ __all__ = [
     "hypergrad_onestage", "hypergrad_reverse", "lls_quadratic",
     "make_counterexample", "make_hypercleaning", "make_lls_quadratic",
     "make_problem", "make_remark1", "make_remark1_regularized", "outer_step",
-    "plain_gd_step", "project_box", "remark1_plain_descent_limit",
+    "plain_gd_step", "remark1_plain_descent_limit",
     "rng_stream", "run_inner", "solve", "verify",
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # loaded on first use, so that ``python -m bda.harness`` runs it only once
+    if name == "harness":
+        return importlib.import_module(".harness", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

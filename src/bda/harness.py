@@ -29,7 +29,8 @@ import numpy as np
 from .inner import AggregationSchedule, run_inner
 from .numerics import (CapabilityError, ContractError, NumericalError,
                        rng_stream)
-from .outer import (METHODS, RunRecord, SolverConfig, config_dict, solve)
+from .outer import (METHODS, METRIC_COLUMNS, RunRecord, SolverConfig,
+                    config_dict, solve)
 from .problems import (BilevelProblem, HypercleanConfig, _sigmoid,
                        hyperclean_dataset_rows, make_counterexample,
                        make_hypercleaning, make_lls_quadratic, make_problem,
@@ -37,14 +38,14 @@ from .problems import (BilevelProblem, HypercleanConfig, _sigmoid,
 from .hypergrad import hypergrad_reverse
 from . import verify as verify_mod
 
-TRACE_COLUMNS = ("t", "phiK", "grad_norm", "err_x", "err_y", "f_gap",
-                 "phi_gap", "wall_ms")
+TRACE_COLUMNS = ("t", *METRIC_COLUMNS, "wall_ms")
 INNER_TRACE_COLUMNS = ("t", "k", "f_val", "F_val", "proj_active")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+EXIT_IO = 5
 
 
 class ConfigError(ValueError):
@@ -134,8 +135,6 @@ def _atomic_write(path: str, write_fn) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             write_fn(fh)
         os.replace(tmp, path)
-    except OSError as err:
-        raise NumericalError(f"cannot write {path}: {err}") from err
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -154,13 +153,8 @@ def emit_trace(record: RunRecord, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for t in range(rows):
-            writer.writerow([
-                t,
-                _fmt(metrics["phiK"][t]), _fmt(metrics["grad_norm"][t]),
-                _fmt(metrics["err_x"][t]), _fmt(metrics["err_y"][t]),
-                _fmt(metrics["f_gap"][t]), _fmt(metrics["phi_gap"][t]),
-                "",
-            ])
+            writer.writerow([t, *(_fmt(metrics[c][t]) for c in METRIC_COLUMNS),
+                             ""])
 
     _atomic_write(path, write)
 
@@ -177,22 +171,17 @@ def parse_trace(path: str) -> dict:
     return {name: np.asarray(vals) for name, vals in columns.items()}
 
 
-def emit_inner_trace(problem: BilevelProblem, record: RunRecord,
-                     cfg: SolverConfig, path: str) -> None:
-    """Re-run the inner dynamics at each recorded outer iterate and dump
-    per-step values (verbosity 'full')."""
-    mode = "bda" if cfg.method in ("bda", "obda") else "plain"
+def emit_inner_trace(record: RunRecord, path: str) -> None:
+    """Dump the per-step f/F values and projection flags of the inner run
+    behind each outer iteration, as kept by ``solve`` (verbosity 'full')."""
 
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(INNER_TRACE_COLUMNS)
-        for t in range(len(record.metrics["phiK"])):
-            _, trace = run_inner(problem, record.xs[t], cfg.K, cfg.sched,
-                                 mode=mode)
-            for k in range(trace.K + 1):
-                active = int(trace.proj_active[k - 1].any()) if k > 0 else 0
-                writer.writerow([t, k, _fmt(trace.f_vals[k]),
-                                 _fmt(trace.F_vals[k]), active])
+        for t, (f_vals, F_vals, active) in enumerate(record.inner_rows):
+            for k in range(len(f_vals)):
+                writer.writerow([t, k, _fmt(f_vals[k]), _fmt(F_vals[k]),
+                                 int(active[k])])
 
     _atomic_write(path, write)
 
@@ -270,8 +259,8 @@ def run_experiment(exp: ExperimentConfig) -> list[dict]:
         trace_path = os.path.join(exp.out_dir, f"trace{tag}.csv")
         emit_trace(record, trace_path)
         if exp.verbosity == "full":
-            emit_inner_trace(problem, record, cfg,
-                             os.path.join(exp.out_dir, f"inner_trace{tag}.csv"))
+            emit_inner_trace(record, os.path.join(exp.out_dir,
+                                                  f"inner_trace{tag}.csv"))
         summary = summarize_record(record, problem)
         summary["problem_params"] = exp.problem_params
         summary["trace_file"] = os.path.basename(trace_path)
@@ -446,8 +435,7 @@ def default_hyperclean_solver(problem: BilevelProblem, method: str,
                 stop_tol=1e-7)
     if method == "trhg":
         base["truncate_at"] = 20
-    if method == "obda":
-        base["K"] = 1
+    if method == "obda":  # SolverConfig fixes K = 1
         base["T_max"] = 2000
     if method == "ihg":
         base["cg_tol"] = 1e-8
@@ -533,8 +521,9 @@ def verify_suite(name: str, out: str) -> dict:
                 problem, x, trace, sched, num_test_points=100, seed=11)
             rep.check_name = f"descent_inequality[{problem.name}]"
             reports.append(rep)
-            reports.append(_rename(verify_mod.check_nonexpansive(
-                problem, x, trace), f"nonexpansive[{problem.name}]"))
+            rep = verify_mod.check_nonexpansive(problem, x, trace)
+            rep.check_name = f"nonexpansive[{problem.name}]"
+            reports.append(rep)
     if "rate" in chosen:
         problem = make_counterexample(5)
         constants, sched, x = rate_check_setup(problem)
@@ -584,11 +573,6 @@ def rate_check_setup(problem: BilevelProblem):
     return constants, sched, x
 
 
-def _rename(report, name):
-    report.check_name = name
-    return report
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -598,12 +582,11 @@ def gradcheck(problem_name: str, method: str, K: int = 20,
     """Max relative error of the method's hypergradient against central
     differences of x -> F(x, y_K(x)) (the inner run recomputed per probe)."""
     problem = make_problem(problem_name)
-    if method not in ("bda", "rhg", "trhg"):
+    if method not in METHODS or METHODS[method].route != "reverse":
         raise ContractError("gradcheck supports bda, rhg, and trhg")
-    mode = "bda" if method == "bda" else "plain"
+    mode = METHODS[method].inner
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
                                 alpha_rule="harmonic")
-    truncate = None if method != "trhg" else K
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(3):
@@ -614,8 +597,7 @@ def gradcheck(problem_name: str, method: str, K: int = 20,
             y_K, _ = run_inner(problem, xv, K, sched, mode=mode)
             return problem.F(xv, y_K)
 
-        grad = hypergrad_reverse(problem, x, K, sched, mode=mode,
-                                 truncate_at=truncate).gradient
+        grad = hypergrad_reverse(problem, x, K, sched, mode=mode).gradient
         fd = verify_mod.fd_gradient(phi_K, x, eps=1e-6 * (1.0 + float(np.linalg.norm(x))))
         denom = max(float(np.linalg.norm(fd)), 1e-12)
         worst = max(worst, float(np.linalg.norm(grad - fd)) / denom)
@@ -702,6 +684,9 @@ def cli_main(argv) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as err:
+        print(f"I/O failure: {err}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -25,11 +25,12 @@ class HypergradResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _require_unroll_capability(problem: BilevelProblem, mode: str) -> None:
-    if mode == "bda":
-        problem.require("hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
-    else:
-        problem.require("hess_yy_f", "hess_yx_f")
+# Problem oracles each estimator needs; the unrolled routes need those of the
+# inner mode they differentiate through.
+UNROLL_ORACLES = {"plain": ("hess_yy_f", "hess_yx_f"),
+                  "bda": ("hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")}
+IMPLICIT_ORACLES = ("hess_yy_f", "hess_yx_f")
+ONESTAGE_ORACLES = ("grad_x_f",)
 
 
 def _step_jacobians(problem: BilevelProblem, x, y, mode: str,
@@ -61,7 +62,7 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
     the Jacobian of the earlier iterate as zero (truncated unrolling); None
     or K means no truncation.
     """
-    _require_unroll_capability(problem, mode)
+    problem.require(*UNROLL_ORACLES.get(mode, ()))
     if truncate_at is not None and not (0 <= truncate_at <= K):
         raise ContractError("truncate_at must lie in [0, K]")
     x = as_vector(x, dim=problem.n, name="x")
@@ -82,7 +83,7 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
         gradient=g, method="reverse",
         diagnostics={"iterations": K, "truncate_at": kept, "mode": mode,
                      "projection_hit": bool(trace.proj_active.any()),
-                     "y_final": y_K})
+                     "y_final": y_K, "trace": trace})
 
 
 def hypergrad_forward(problem: BilevelProblem, x, K: int,
@@ -90,7 +91,7 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
                       strict_projection: bool = True,
                       y0=None) -> HypergradResult:
     """Forward propagation of the iterate Jacobian d y_k / d x."""
-    _require_unroll_capability(problem, mode)
+    problem.require(*UNROLL_ORACLES.get(mode, ()))
     x = as_vector(x, dim=problem.n, name="x")
     y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
     if strict_projection and trace.proj_active.any():
@@ -149,7 +150,7 @@ def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
                        cg_max_iter: int | None = None) -> HypergradResult:
     """Implicit route: solve hess_yy_f q = grad_y_F by CG, then
     grad = grad_x_F - hess_yx_f' q."""
-    problem.require("hess_yy_f", "hess_yx_f")
+    problem.require(*IMPLICIT_ORACLES)
     x, y_hat = problem.check_point(x, y_hat)
     H = np.asarray(problem.hess_yy_f(x, y_hat), dtype=float)
     bvec = np.asarray(problem.grad_y_F(x, y_hat), dtype=float)
@@ -179,7 +180,7 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
     """
     if eps <= 0:
         raise ContractError("hypergrad_onestage: eps must be positive")
-    problem.require("grad_x_f")
+    problem.require(*ONESTAGE_ORACLES)
     x = as_vector(x, dim=problem.n, name="x")
     y0 = problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
 

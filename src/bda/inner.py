@@ -142,26 +142,36 @@ def descent_directions(problem: BilevelProblem, x, y, k: int,
     return sched.s_u * gF, sched.s_l * gf
 
 
+def _aggregated_points(problem: BilevelProblem, x, y, k: int,
+                       sched: AggregationSchedule):
+    """(z_u, z_l, pre-projection point) of one aggregated step."""
+    dF, df = descent_directions(problem, x, y, k, sched)
+    z_u = y - sched.alpha(k) * dF
+    z_l = y - sched.beta(k) * df
+    return z_u, z_l, sched.mu * z_u + (1.0 - sched.mu) * z_l
+
+
 def aggregated_step(problem: BilevelProblem, x, y, k: int,
                     sched: AggregationSchedule):
     """One aggregated projected step; returns (y_next, z_u, z_l)."""
-    dF, df = descent_directions(problem, x, y, k, sched)
-    a, b = sched.alpha(k), sched.beta(k)
-    z_u = y - a * dF
-    z_l = y - b * df
-    y_next = problem.region_y.project(sched.mu * z_u + (1.0 - sched.mu) * z_l)
-    return y_next, z_u, z_l
+    z_u, z_l, pre = _aggregated_points(problem, x, y, k, sched)
+    return problem.region_y.project(pre), z_u, z_l
 
 
-def plain_gd_step(problem: BilevelProblem, x, y, s_l: float):
-    """One projected gradient step on the lower-level objective only."""
+def _plain_point(problem: BilevelProblem, x, y, s_l: float):
+    """Pre-projection point y - s_l * grad_y f of one plain step."""
     if s_l <= 0:
         raise ContractError("plain_gd_step: s_l must be positive")
     x, y = problem.check_point(x, y)
     gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
     if not np.all(np.isfinite(gf)):
         raise NumericalError("grad_y_f non-finite in plain step")
-    return problem.region_y.project(y - s_l * gf)
+    return y - s_l * gf
+
+
+def plain_gd_step(problem: BilevelProblem, x, y, s_l: float):
+    """One projected gradient step on the lower-level objective only."""
+    return problem.region_y.project(_plain_point(problem, x, y, s_l))
 
 
 def default_y0(problem: BilevelProblem) -> np.ndarray:
@@ -201,14 +211,13 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     for k in range(K):
         try:
             if mode == "bda":
-                y_next, zu_k, zl_k = aggregated_step(problem, x, y, k, sched)
+                zu_k, zl_k, pre = _aggregated_points(problem, x, y, k, sched)
             else:
-                y_next = plain_gd_step(problem, x, y, sched.s_l)
-                zu_k = y.copy()
-                zl_k = y - sched.s_l * np.asarray(problem.grad_y_f(x, y))
+                zu_k = y
+                zl_k = pre = _plain_point(problem, x, y, sched.s_l)
+            y_next = problem.region_y.project(pre)
         except NumericalError as err:
             raise NumericalError(f"inner step k={k}: {err}") from err
-        pre = sched.mu * zu_k + (1.0 - sched.mu) * zl_k if mode == "bda" else zl_k
         proj_active[k] = problem.region_y.active_mask(pre)
         ys[k + 1] = y_next
         z_u[k] = zu_k

@@ -132,12 +132,6 @@ class BoxRegion:
         above = (~self.upper_free) & (v > self.upper)
         return below | above
 
-    def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
-        v = as_vector(v, dim=self.dim, name="point")
-        ok_lo = self.lower_free | (v >= self.lower - tol)
-        ok_hi = self.upper_free | (v <= self.upper + tol)
-        return bool(np.all(ok_lo & ok_hi))
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform samples; requires a bounded region."""
         if not self.is_bounded:
@@ -151,8 +145,3 @@ class BoxRegion:
             raise CapabilityError("cannot sample corners of an unbounded region")
         pick = rng.random((count, self.dim)) < 0.5
         return np.where(pick, self.lower, self.upper)
-
-
-def project_box(v, region: BoxRegion) -> np.ndarray:
-    """Euclidean projection of ``v`` onto a box: per-coordinate clamping."""
-    return region.project(as_vector(v, name="point"))

@@ -7,17 +7,30 @@ references are recorded whenever the problem supplies them.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypergrad import (hypergrad_implicit, hypergrad_onestage,
+from .hypergrad import (IMPLICIT_ORACLES, ONESTAGE_ORACLES, UNROLL_ORACLES,
+                        hypergrad_implicit, hypergrad_onestage,
                         hypergrad_reverse)
 from .inner import AggregationSchedule, default_y0, run_inner
-from .numerics import BoxRegion, ContractError, NumericalError, as_vector
+from .numerics import (BoxRegion, CapabilityError, ContractError,
+                       NumericalError, as_vector)
 from .problems import BilevelProblem
 
-METHODS = ("bda", "rhg", "trhg", "ihg", "obda")
+# One row per method: the inner dynamics ('bda' aggregated | 'plain' descent),
+# the hypergradient route ('reverse' | 'implicit' | 'onestage'), whether the
+# inner state carries across outer iterations, and the oracles the route needs.
+Method = namedtuple("Method", "inner route carries_inner requires")
+METHODS = {
+    "bda": Method("bda", "reverse", False, UNROLL_ORACLES["bda"]),
+    "rhg": Method("plain", "reverse", False, UNROLL_ORACLES["plain"]),
+    "trhg": Method("plain", "reverse", False, UNROLL_ORACLES["plain"]),
+    "ihg": Method("plain", "implicit", False, IMPLICIT_ORACLES),
+    "obda": Method("bda", "onestage", True, ONESTAGE_ORACLES),
+}
 
 METRIC_COLUMNS = ("phiK", "grad_norm", "err_x", "err_y", "f_gap", "phi_gap")
 
@@ -47,11 +60,11 @@ class SolverConfig:
             object.__setattr__(self, "K", 1)
         if self.method == "bda" and not (0.0 < self.sched.mu < 1.0):
             raise ContractError("bda requires mu in (0, 1)")
-        if self.method == "trhg":
-            if self.truncate_at is None:
-                raise ContractError("trhg requires truncate_at")
-            if not (0 <= self.truncate_at <= self.K):
-                raise ContractError("truncate_at must lie in [0, K]")
+        if (self.method == "trhg") != (self.truncate_at is not None):
+            raise ContractError("trhg requires truncate_at; no other method "
+                                "takes it")
+        if self.truncate_at is not None and not 0 <= self.truncate_at <= self.K:
+            raise ContractError("truncate_at must lie in [0, K]")
         if self.lam is not None and self.lam <= 0:
             raise ContractError("lam must be positive")
 
@@ -71,6 +84,9 @@ class RunRecord:
     y_final: np.ndarray
     config: dict
     error: str | None = None
+    # per outer iteration, a (3, K+1) array of its inner run's f and F values
+    # and projection flags (column k + 1 flags step k; column 0 holds 0)
+    inner_rows: list = field(default_factory=list)
 
     @property
     def T(self) -> int:
@@ -89,35 +105,27 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
 
 
 def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
-    """Hypergradient and final inner iterate for one outer iteration."""
-    if cfg.method == "bda":
-        res = hypergrad_reverse(problem, x, cfg.K, cfg.sched, mode="bda",
-                                y0=y0)
-        y_K = res.diagnostics["y_final"]
-    elif cfg.method in ("rhg", "trhg"):
-        trunc = cfg.truncate_at if cfg.method == "trhg" else None
-        res = hypergrad_reverse(problem, x, cfg.K, cfg.sched, mode="plain",
-                                truncate_at=trunc, y0=y0)
-        y_K = res.diagnostics["y_final"]
-    elif cfg.method == "ihg":
-        y_K, _ = run_inner(problem, x, cfg.K, cfg.sched, mode="plain", y0=y0)
+    """Hypergradient, final y, and inner rows of one outer iteration."""
+    method = METHODS[cfg.method]
+    if method.route == "reverse":
+        res = hypergrad_reverse(problem, x, cfg.K, cfg.sched, mode=method.inner,
+                                truncate_at=cfg.truncate_at, y0=y0)
+        y_K, trace = res.diagnostics["y_final"], res.diagnostics["trace"]
+    elif method.route == "implicit":
+        y_K, trace = run_inner(problem, x, cfg.K, cfg.sched, mode=method.inner,
+                               y0=y0)
         res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
                                  cg_max_iter=cfg.cg_max_iter)
-    else:  # obda: one aggregated step from the carried y0
+    else:  # one aggregated step from the carried y0
         res = hypergrad_onestage(problem, x, y0, cfg.sched, cfg.onestage_eps)
         y_K = res.diagnostics["y1"]
-    return res.gradient, y_K
-
-
-def _check_capability(problem: BilevelProblem, cfg: SolverConfig) -> None:
-    if cfg.method == "bda":
-        problem.require("hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
-    elif cfg.method in ("rhg", "trhg"):
-        problem.require("hess_yy_f", "hess_yx_f")
-    elif cfg.method == "ihg":
-        problem.require("hess_yy_f", "hess_yx_f")
-    else:
-        problem.require("grad_x_f")
+        return res.gradient, y_K, np.array(
+            [[problem.f(x, y0), problem.f(x, y_K)],
+             [problem.F(x, y0), problem.F(x, y_K)],
+             [0.0, res.diagnostics["branch"] == "projected"]])
+    return res.gradient, y_K, np.array(
+        [trace.f_vals, trace.F_vals,
+         np.r_[False, trace.proj_active.any(axis=1)]])
 
 
 def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
@@ -150,34 +158,34 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
     onto Y).  For obda the inner state instead persists across outer
     iterations, starting from ``y0``.
     """
-    _check_capability(problem, cfg)
+    method = METHODS[cfg.method]
+    problem.require(*method.requires)
     cfg.sched.require_admissible(problem)
     x = problem.region_x.project(np.zeros(problem.n) if x0 is None
                                  else as_vector(x0, dim=problem.n, name="x0"))
-    y_init = default_y0(problem) if y0 is None else \
+    y_start = default_y0(problem) if y0 is None else \
         problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
     lam = cfg.lam if cfg.lam is not None else default_lambda(problem, cfg, x)
 
     xs = [x.copy()]
     columns = {name: [] for name in METRIC_COLUMNS}
-    y_carry = y_init                # persistent inner state for obda
+    inner_rows = []
     status = "max-iters"
     error_msg = None
     start = time.perf_counter()
-    y_K = y_carry
+    y_K = y_start
     for _ in range(cfg.T_max):
         try:
-            g, y_K = _method_gradient(
-                problem, x, cfg,
-                y0=y_carry if cfg.method == "obda" else y_init)
-        except NumericalError as err:
+            g, y_K, rows = _method_gradient(problem, x, cfg, y0=y_start)
+        except (NumericalError, CapabilityError) as err:
             status, error_msg = "aborted", str(err)
             break
-        if cfg.method == "obda":
-            y_carry = y_K
-        gnorm = float(np.linalg.norm(g))
-        columns["phiK"].append(problem.F(x, y_K))
-        columns["grad_norm"].append(gnorm)
+        if method.carries_inner:
+            y_start = y_K
+        inner_rows.append(rows)
+        f_K, F_K = rows[0, -1], rows[1, -1]
+        columns["phiK"].append(F_K)
+        columns["grad_norm"].append(float(np.linalg.norm(g)))
         columns["err_x"].append(
             float(np.linalg.norm(x - problem.x_opt))
             if problem.x_opt is not None else np.nan)
@@ -185,10 +193,10 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             float(np.linalg.norm(y_K - problem.y_opt))
             if problem.y_opt is not None else np.nan)
         columns["f_gap"].append(
-            problem.f(x, y_K) - problem.f_star_of_x(x)
+            f_K - problem.f_star_of_x(x)
             if problem.f_star_of_x is not None else np.nan)
         columns["phi_gap"].append(
-            abs(problem.F(x, y_K) - problem.phi_star_of_x(x))
+            abs(F_K - problem.phi_star_of_x(x))
             if problem.phi_star_of_x is not None else np.nan)
         x_next = outer_step(x, g, lam, problem.region_x)
         moved = float(np.linalg.norm(x_next - x))
@@ -208,7 +216,7 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
         resolved_lambda=lam, wall_time_s=wall,
         final_grad_norm=float(final_grad),
         y_final=np.asarray(y_K), config=config_dict(cfg, lam),
-        error=error_msg)
+        error=error_msg, inner_rows=inner_rows)
 
 
 def config_dict(cfg: SolverConfig, resolved_lambda: float | None = None) -> dict:

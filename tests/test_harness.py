@@ -1,11 +1,13 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from bda.harness import (EXIT_CONFIG, EXIT_OK, EXIT_USAGE,
+from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_USAGE,
                          cli_main, emit_trace, f1_score, hyperclean_baseline,
                          hyperclean_metrics, load_config, parse_trace,
                          run_experiment, suite_counterexample,
@@ -119,6 +121,21 @@ def test_run_experiment_full_verbosity_inner_trace(tmp_path):
     assert header == "t,k,f_val,F_val,proj_active"
 
 
+def test_inner_trace_written_without_rerunning_inner(tmp_path, monkeypatch):
+    import bda.harness
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("emit_inner_trace re-ran the inner dynamics")
+
+    monkeypatch.setattr(bda.harness, "run_inner", no_rerun)
+    exp = load_config(_write_config(str(tmp_path / "cfg.json"), T_max=3,
+                                    verbosity="full"))
+    exp.out_dir = str(tmp_path / "out")
+    run_experiment(exp)
+    cols = parse_trace(str(tmp_path / "out" / "inner_trace.csv"))
+    assert cols["t"].tolist() == [t for t in range(3) for _ in range(11)]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -141,6 +158,40 @@ def test_cli_bad_json_is_config_error(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{not json")
     assert cli_main(["run", "--config", path]) == EXIT_CONFIG
+
+
+def test_cli_out_under_regular_file_is_io_error(tmp_path, capsys):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), T_max=2)
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("not a directory")
+    code = cli_main(["run", "--config", cfg_path,
+                     "--out", str(blocker / "out")])
+    assert code == EXIT_IO
+    assert "I/O failure" in capsys.readouterr().err
+
+
+def test_cli_directory_on_trace_path_is_io_error(tmp_path, capsys):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), T_max=2)
+    out = tmp_path / "out"
+    (out / "trace.csv").mkdir(parents=True)
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == EXIT_IO
+    assert "I/O failure" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["trace.csv"]   # no stray temp file
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    import bda
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bda.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bda.harness",
+         "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    done = subprocess.run(
+        [sys.executable, "-c", "import bda; print(bda.harness.EXIT_IO)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout.strip() == str(EXIT_IO), done.stderr
 
 
 def test_cli_unknown_subcommand_exit_2(capsys):

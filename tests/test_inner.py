@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,19 @@ def test_run_inner_plain_matches_closed_form():
     y_K, trace = run_inner(p, [1.0], 20, sched, mode="plain")
     np.testing.assert_allclose(y_K, [1.0 - 0.9 ** 20, 0.0], atol=1e-15)
     assert trace.mode == "plain"
+
+
+def test_run_inner_plain_step_evaluates_grad_y_f_once():
+    base = make_counterexample(3)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return base.grad_y_f(x, y)
+
+    p = dataclasses.replace(base, grad_y_f=counted)
+    run_inner(p, 0.5 * np.ones(3), 7, AggregationSchedule(), mode="plain")
+    assert len(calls) == 7
 
 
 def test_run_inner_bda_ll_gap_monotone_after_transient():

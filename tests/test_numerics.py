@@ -2,24 +2,23 @@ import numpy as np
 import pytest
 
 from bda.numerics import (BoxRegion, CapabilityError, ContractError,
-                          NumericalError, as_matrix, as_vector, project_box,
-                          rng_stream)
+                          NumericalError, as_matrix, as_vector, rng_stream)
 
 
 def test_project_box_clamps_both_sides():
     region = BoxRegion.cube(2, -1.0, 1.0)
-    np.testing.assert_array_equal(project_box([2.0, -3.0], region), [1.0, -1.0])
+    np.testing.assert_array_equal(region.project([2.0, -3.0]), [1.0, -1.0])
 
 
 def test_project_box_identity_on_interior():
     region = BoxRegion.cube(2, -1.0, 1.0)
-    np.testing.assert_array_equal(project_box([0.5, 0.2], region), [0.5, 0.2])
+    np.testing.assert_array_equal(region.project([0.5, 0.2]), [0.5, 0.2])
 
 
 def test_project_box_dimension_mismatch():
     region = BoxRegion.cube(3, -1.0, 1.0)
     with pytest.raises(ContractError):
-        project_box([0.1, 0.2], region)
+        region.project([0.1, 0.2])
 
 
 def test_project_box_idempotent_exact():
@@ -27,8 +26,8 @@ def test_project_box_idempotent_exact():
     rng = rng_stream(42)
     for _ in range(50):
         v = 5.0 * rng.standard_normal(5)
-        once = project_box(v, region)
-        np.testing.assert_array_equal(project_box(once, region), once)
+        once = region.project(v)
+        np.testing.assert_array_equal(region.project(once), once)
 
 
 def test_project_box_nonexpansive_sampled():
@@ -37,7 +36,7 @@ def test_project_box_nonexpansive_sampled():
     for _ in range(200):
         u = 3.0 * rng.standard_normal(4)
         v = 3.0 * rng.standard_normal(4)
-        pu, pv = project_box(u, region), project_box(v, region)
+        pu, pv = region.project(u), region.project(v)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-15
 
 

@@ -29,6 +29,8 @@ def test_solver_config_validation():
     with pytest.raises(ContractError):
         SolverConfig(method="trhg", K=10, truncate_at=11)
     with pytest.raises(ContractError):
+        SolverConfig(method="rhg", K=10, truncate_at=5)  # trhg only
+    with pytest.raises(ContractError):
         SolverConfig(method="bda", sched=AggregationSchedule(mu=0.0))
     assert SolverConfig(method="obda", K=7).K == 1  # forced single step
     with pytest.raises(ContractError):
@@ -163,6 +165,16 @@ def test_numerical_failure_aborts_with_partial_record():
     assert record.status == "aborted"
     assert "inner step" in record.error
     assert len(record.metrics["phiK"]) < 50   # partial history retained
+
+
+def test_capability_failure_mid_run_aborts_with_partial_record():
+    # CG meets the singular remark1 Hessian once x leaves 0
+    cfg = SolverConfig(method="ihg", K=10, lam=0.5, T_max=20, sched=SCHED)
+    record = solve(make_remark1(), cfg)
+    assert record.status == "aborted"
+    assert "not positive definite" in record.error
+    assert len(record.metrics["phiK"]) == 1
+    assert record.xs.shape == (2, 1)
 
 
 def test_approximate_stationarity_transfers_to_true_gradient():
