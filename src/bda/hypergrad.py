@@ -3,9 +3,9 @@
 Four routes are provided: reverse-mode unrolling of the exact inner update
 maps (optionally truncated), forward-mode Jacobian propagation, the implicit
 route through the lower-level optimality system, and the single-step
-finite-difference scheme.  Unrolled estimators differentiate through an
-active box projection with the diagonal 0/1 generalized Jacobian that zeroes
-clamped coordinates.
+finite-difference scheme, all on the problem's Hessian-vector products.
+Unrolled estimators differentiate through an active box projection with the
+diagonal 0/1 generalized Jacobian that zeroes clamped coordinates.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .inner import AggregationSchedule, run_inner
 from .numerics import CapabilityError, ContractError, NumericalError, as_vector
-from .problems import BilevelProblem
+from .problems import BilevelProblem, product_rows
 
 
 @dataclass
@@ -33,23 +33,21 @@ IMPLICIT_ORACLES = ("hess_yy_f", "hess_yx_f")
 ONESTAGE_ORACLES = ("grad_x_f",)
 
 
-def _step_jacobians(problem: BilevelProblem, x, y, mode: str,
-                    alpha: float, beta: float, sched: AggregationSchedule):
-    """d(update)/dy and d(update)/dx of the pre-projection map at (x, y)."""
-    m = problem.m
-    Hf = np.asarray(problem.hess_yy_f(x, y), dtype=float)
-    Cf = np.asarray(problem.hess_yx_f(x, y), dtype=float)
+def _step_products(problem: BilevelProblem, x, y, mode: str,
+                   alpha: float, beta: float, sched: AggregationSchedule):
+    """Products yy: q -> (c_F H_F + c_f H_f) q and yx: q -> (c_F C_F + c_f C_f)' q
+    at (x, y) for the pre-projection update u = y - (c_F grad_y F + c_f grad_y f):
+    (du/dy)' q = q - yy(q), du/dy being symmetric, and (du/dx)' q = -yx(q).
+    Plain descent has c_F = 0 and c_f = s_l."""
     if mode == "plain":
-        dudy = np.eye(m) - sched.s_l * Hf
-        dudx = -sched.s_l * Cf
-    else:
-        HF = np.asarray(problem.hess_yy_F(x, y), dtype=float)
-        CF = np.asarray(problem.hess_yx_F(x, y), dtype=float)
-        cu = sched.mu * alpha * sched.s_u
-        cl = (1.0 - sched.mu) * beta * sched.s_l
-        dudy = np.eye(m) - (cu * HF + cl * Hf)
-        dudx = -(cu * CF + cl * Cf)
-    return dudy, dudx
+        return (lambda q: sched.s_l * problem.hess_yy_f(x, y, q),
+                lambda q: sched.s_l * problem.hess_yx_f(x, y, q))
+    cu = sched.mu * alpha * sched.s_u
+    cl = (1.0 - sched.mu) * beta * sched.s_l
+    return (lambda q: cu * problem.hess_yy_F(x, y, q)
+            + cl * problem.hess_yy_f(x, y, q),
+            lambda q: cu * problem.hess_yx_F(x, y, q)
+            + cl * problem.hess_yx_f(x, y, q))
 
 
 def hypergrad_reverse(problem: BilevelProblem, x, K: int,
@@ -73,10 +71,10 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
     kept = K if truncate_at is None else truncate_at
     for k in range(K - 1, K - kept - 1, -1):
         q = np.where(trace.proj_active[k], 0.0, p)
-        dudy, dudx = _step_jacobians(problem, x, trace.ys[k], mode,
-                                     trace.alphas[k], trace.betas[k], sched)
-        g += dudx.T @ q
-        p = dudy.T @ q
+        yy, yx = _step_products(problem, x, trace.ys[k], mode,
+                                trace.alphas[k], trace.betas[k], sched)
+        g -= yx(q)
+        p = q - yy(q)
     if not np.all(np.isfinite(g)):
         raise NumericalError("reverse hypergradient is non-finite")
     return HypergradResult(
@@ -99,11 +97,13 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
             "projection became active along the trajectory; rerun with "
             "strict_projection=False to use the clamped-row convention")
 
+    # J <- (du/dy) J + du/dx: n yy-products on J's columns, m yx-products for du/dx
     J = np.zeros((problem.m, problem.n))
     for k in range(K):
-        dudy, dudx = _step_jacobians(problem, x, trace.ys[k], mode,
-                                     trace.alphas[k], trace.betas[k], sched)
-        J = dudy @ J + dudx
+        yy, yx = _step_products(problem, x, trace.ys[k], mode,
+                                trace.alphas[k], trace.betas[k], sched)
+        J = J - np.column_stack([yy(col) for col in J.T]) \
+            - product_rows(yx, problem.m)
         J[trace.proj_active[k]] = 0.0
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float) \
         + J.T @ np.asarray(problem.grad_y_F(x, y_K), dtype=float)
@@ -115,9 +115,9 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
                      "projection_hit": bool(trace.proj_active.any())})
 
 
-def _conjugate_gradient(H: np.ndarray, b: np.ndarray, tol: float,
-                        max_iter: int):
-    """Plain CG with curvature monitoring; returns (solution, residual, iters)."""
+def _conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int):
+    """Plain CG on matvec(p) = H p with curvature monitoring; returns
+    (solution, residual, iters)."""
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -126,7 +126,7 @@ def _conjugate_gradient(H: np.ndarray, b: np.ndarray, tol: float,
     p = r.copy()
     rs = float(r @ r)
     for it in range(1, max_iter + 1):
-        Hp = H @ p
+        Hp = matvec(p)
         curv = float(p @ Hp)
         if curv <= 1e-12 * float(p @ p):
             raise CapabilityError(
@@ -148,16 +148,16 @@ def _conjugate_gradient(H: np.ndarray, b: np.ndarray, tol: float,
 def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
                        cg_tol: float = 1e-10,
                        cg_max_iter: int | None = None) -> HypergradResult:
-    """Implicit route: solve hess_yy_f q = grad_y_F by CG, then
-    grad = grad_x_F - hess_yx_f' q."""
+    """Implicit route: solve (grad_yy f) q = grad_y_F by CG on hess_yy_f
+    products, then grad = grad_x_F - hess_yx_f(q)."""
     problem.require(*IMPLICIT_ORACLES)
     x, y_hat = problem.check_point(x, y_hat)
-    H = np.asarray(problem.hess_yy_f(x, y_hat), dtype=float)
     bvec = np.asarray(problem.grad_y_F(x, y_hat), dtype=float)
     max_iter = cg_max_iter if cg_max_iter is not None else 10 * problem.m
-    q, residual, iters = _conjugate_gradient(H, bvec, cg_tol, max_iter)
-    Cf = np.asarray(problem.hess_yx_f(x, y_hat), dtype=float)
-    g = np.asarray(problem.grad_x_F(x, y_hat), dtype=float) - Cf.T @ q
+    q, residual, iters = _conjugate_gradient(
+        lambda v: problem.hess_yy_f(x, y_hat, v), bvec, cg_tol, max_iter)
+    g = np.asarray(problem.grad_x_F(x, y_hat), dtype=float) \
+        - problem.hess_yx_f(x, y_hat, q)
     if not np.all(np.isfinite(g)):
         raise NumericalError("implicit hypergradient is non-finite")
     return HypergradResult(

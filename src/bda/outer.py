@@ -78,7 +78,7 @@ class RunRecord:
     xs: np.ndarray                 # (T+1, n) outer iterates, x_0 first
     metrics: dict                  # name -> (T,) array, nan when unavailable
     status: str                    # 'converged' | 'max-iters' | 'aborted'
-    resolved_lambda: float
+    resolved_lambda: float | None  # None when the default-step probes failed
     wall_time_s: float
     final_grad_norm: float
     y_final: np.ndarray
@@ -165,7 +165,7 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
                                  else as_vector(x0, dim=problem.n, name="x0"))
     y_start = default_y0(problem) if y0 is None else \
         problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
-    lam = cfg.lam if cfg.lam is not None else default_lambda(problem, cfg, x)
+    lam = cfg.lam
 
     xs = [x.copy()]
     columns = {name: [] for name in METRIC_COLUMNS}
@@ -176,6 +176,9 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
     y_K = y_start
     for _ in range(cfg.T_max):
         try:
+            # resolved here so that a failing probe also aborts with a record
+            if lam is None:
+                lam = default_lambda(problem, cfg, x)
             g, y_K, rows = _method_gradient(problem, x, cfg, y0=y_start)
         except (NumericalError, CapabilityError) as err:
             status, error_msg = "aborted", str(err)

@@ -2,7 +2,7 @@
 
 Each factory returns a :class:`BilevelProblem` whose callables take the
 upper-level point ``x`` and the lower-level point ``y`` as 1-D float arrays.
-Second derivatives are supplied in closed form where the solvers need them;
+Second derivatives are closed-form products with a vector (no dense Hessian);
 known minimizers, value functions, and lower-level optimal values are attached
 so that metric and verification code has exact references.
 """
@@ -18,7 +18,7 @@ from .numerics import (BoxRegion, CapabilityError, ContractError, as_vector,
 
 Array = np.ndarray
 VecFn = Callable[[Array, Array], Array]
-MatFn = Callable[[Array, Array], Array]
+ProdFn = Callable[[Array, Array, Array], Array]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,10 @@ class BilevelProblem:
     boxes.  Optional fields carry second derivatives, smoothness constants,
     and analytic reference data; solvers raise :class:`CapabilityError` when
     a field they need is absent.
+
+    ``hess_yy_f(x, y, v)`` returns (grad_yy f) v, of length m, and
+    ``hess_yx_f(x, y, v)`` returns (grad_yx f)' v = grad_x <grad_y f, v>, of
+    length n; ``hess_yy_F`` and ``hess_yx_F`` are the same products for F.
     """
 
     name: str
@@ -43,10 +47,10 @@ class BilevelProblem:
     grad_y_F: VecFn
     grad_y_f: VecFn
     grad_x_f: Optional[VecFn] = None
-    hess_yy_f: Optional[MatFn] = None
-    hess_yx_f: Optional[MatFn] = None
-    hess_yy_F: Optional[MatFn] = None
-    hess_yx_F: Optional[MatFn] = None
+    hess_yy_f: Optional[ProdFn] = None
+    hess_yx_f: Optional[ProdFn] = None
+    hess_yy_F: Optional[ProdFn] = None
+    hess_yx_F: Optional[ProdFn] = None
     L_F: Optional[float] = None
     L_f: Optional[float] = None
     sigma: Optional[float] = None
@@ -69,6 +73,12 @@ class BilevelProblem:
     def check_point(self, x, y) -> tuple[Array, Array]:
         return (as_vector(x, dim=self.n, name="x"),
                 as_vector(y, dim=self.m, name="y"))
+
+
+def product_rows(product: Callable[[Array], Array], m: int) -> Array:
+    """Matrix of rows ``product(e_i)`` over the unit vectors of R^m (m calls):
+    the symmetric m x m Hessian for a yy product, the m x n block for yx."""
+    return np.array([product(e) for e in np.eye(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +131,28 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         y, _ = split(w)
         return -y
 
-    def hess_yy_F(x, w):
+    def hess_yy_F(x, w, v):
         y, z = split(w)
+        vy, vz = split(v)
         dy = y - e
         dz = z - x
-        top = 4.0 * (np.dot(dy, dy) * np.eye(n) + 2.0 * np.outer(dy, dy))
-        bot = 4.0 * (np.dot(dz, dz) * np.eye(n) + 2.0 * np.outer(dz, dz))
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = top
-        out[n:, n:] = bot
-        return out
+        return 4.0 * np.concatenate(
+            [np.dot(dy, dy) * vy + 2.0 * np.dot(dy, vy) * dy,
+             np.dot(dz, dz) * vz + 2.0 * np.dot(dz, vz) * dz])
 
-    def hess_yx_F(x, w):
+    def hess_yx_F(x, w, v):
         _, z = split(w)
+        _, vz = split(v)
         d = x - z
-        out = np.zeros((2 * n, n))
-        out[n:, :] = -8.0 * np.outer(d, d) - 4.0 * np.dot(d, d) * np.eye(n)
-        return out
+        return -8.0 * np.dot(d, vz) * d - 4.0 * np.dot(d, d) * vz
 
-    def hess_yy_f(x, w):
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = np.eye(n)
-        return out
+    def hess_yy_f(x, w, v):
+        vy, _ = split(v)
+        return np.concatenate([vy, np.zeros(n)])
 
-    def hess_yx_f(x, w):
-        out = np.zeros((2 * n, n))
-        out[:n, :] = -np.eye(n)
-        return out
+    def hess_yx_f(x, w, v):
+        vy, _ = split(v)
+        return -vy
 
     def y_star_of_x(x):
         # the UL-optimal member of S(x): y = x with the free half set to x
@@ -210,17 +215,17 @@ def make_remark1() -> BilevelProblem:
     def grad_x_f(x, y):
         return np.array([-y[0]])
 
-    def hess_yy_F(x, y):
-        return np.eye(2)
+    def hess_yy_F(x, y, v):
+        return np.array(v, dtype=float)
 
-    def hess_yx_F(x, y):
-        return np.array([[0.0], [-1.0]])
+    def hess_yx_F(x, y, v):
+        return np.array([-v[1]])
 
-    def hess_yy_f(x, y):
-        return np.array([[1.0, 0.0], [0.0, 0.0]])
+    def hess_yy_f(x, y, v):
+        return np.array([v[0], 0.0])
 
-    def hess_yx_f(x, y):
-        return np.array([[-1.0], [0.0]])
+    def hess_yx_f(x, y, v):
+        return np.array([-v[0]])
 
     def y_star_of_x(x):
         # UL-optimal member of S(x) = {(x, t) : t free}
@@ -278,14 +283,8 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
     def grad_y_f(x, y):
         return np.array([y[0] - x[0], epsilon * y[1]])
 
-    def grad_x_f(x, y):
-        return np.array([-y[0]])
-
-    def hess_yy_f(x, y):
-        return np.array([[1.0, 0.0], [0.0, epsilon]])
-
-    def hess_yx_f(x, y):
-        return np.array([[-1.0], [0.0]])
+    def hess_yy_f(x, y, v):
+        return np.array([v[0], epsilon * v[1]])
 
     def y_star_of_x(x):
         return np.array([x[0], 0.0])
@@ -304,8 +303,8 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
         region_x=base.region_x, region_y=base.region_y,
         F=base.F, f=f,
         grad_x_F=base.grad_x_F, grad_y_F=base.grad_y_F, grad_y_f=grad_y_f,
-        grad_x_f=grad_x_f,
-        hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
+        grad_x_f=base.grad_x_f,
+        hess_yy_f=hess_yy_f, hess_yx_f=base.hess_yx_f,
         hess_yy_F=base.hess_yy_F, hess_yx_F=base.hess_yx_F,
         L_F=1.0, L_f=1.0, sigma=epsilon, F_lower_bound=0.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
@@ -363,17 +362,17 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
     def grad_x_f(x, y):
         return -(B.T @ y)
 
-    def hess_yy_F(x, y):
-        return np.eye(m)
+    def hess_yy_F(x, y, v):
+        return np.array(v, dtype=float)
 
-    def hess_yx_F(x, y):
-        return np.zeros((m, n))
+    def hess_yx_F(x, y, v):
+        return np.zeros(n)
 
-    def hess_yy_f(x, y):
-        return A.copy()
+    def hess_yy_f(x, y, v):
+        return A @ v
 
-    def hess_yx_f(x, y):
-        return -B.copy()
+    def hess_yx_f(x, y, v):
+        return -(B.T @ v)
 
     def y_star_of_x(x):
         return M @ as_vector(x, dim=n, name="x")
@@ -495,6 +494,14 @@ class _SoftmaxData:
         resid = self.probs(theta) - self.onehot          # (N, C)
         return np.einsum("ic,ij->icj", resid, self.aug)  # (N, C, d+1)
 
+    def hess_vec(self, theta: Array, weights: Array, v: Array) -> Array:
+        """sum_i w_i (diag(p_i) - p_i p_i') kron (u_i u_i') times v, flattened;
+        O(N C (d+1)) work, no C(d+1) x C(d+1) matrix."""
+        p = self.probs(theta)                            # (N, C)
+        s = self.logits(v.reshape(theta.shape))          # (N, C): u_i' v_c
+        r = p * (s - (p * s).sum(axis=1, keepdims=True))
+        return ((weights[:, None] * r).T @ self.aug).ravel()
+
 
 def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     """Synthetic hyper-cleaning instance on Gaussian class blobs.
@@ -570,32 +577,18 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         w = _sigmoid(x)
         return w * (1.0 - w) * train.losses(unpack(y))
 
-    def _hess_blocks(data: _SoftmaxData, theta: Array, weights: Array) -> Array:
-        p = data.probs(theta)                            # (N, C)
-        # sum_i w_i (diag(p_i) - p_i p_i') kron (u_i u_i')
-        diag = np.einsum("i,ic,ij,ik->cjk", weights, p, data.aug, data.aug)
-        cross = np.einsum("i,ic,ie,ij,ik->cjek", weights, p, p,
-                          data.aug, data.aug)
-        h = -cross
-        idx = np.arange(data.num_classes)
-        h[idx, :, idx, :] += diag
-        m_ = theta.size
-        return h.reshape(m_, m_)
+    def hess_yy_F(x, y, v):
+        return val.hess_vec(unpack(y), np.ones(val.labels.shape[0]), v)
 
-    def hess_yy_F(x, y):
-        theta = unpack(y)
-        return _hess_blocks(val, theta, np.ones(val.labels.shape[0]))
+    def hess_yx_F(x, y, v):
+        return np.zeros(n)
 
-    def hess_yx_F(x, y):
-        return np.zeros((m, n))
+    def hess_yy_f(x, y, v):
+        return train.hess_vec(unpack(y), _sigmoid(x), v)
 
-    def hess_yy_f(x, y):
-        return _hess_blocks(train, unpack(y), _sigmoid(x))
-
-    def hess_yx_f(x, y):
+    def hess_yx_f(x, y, v):
         w = _sigmoid(x)
-        g = train.grads(unpack(y)).reshape(n, m)
-        return (w * (1.0 - w) * g.T)  # (m, n)
+        return w * (1.0 - w) * (train.grads(unpack(y)).reshape(n, m) @ v)
 
     # global smoothness bounds: each per-sample Hessian is bounded by
     # |u_i|^2 / 2 in spectral norm and the sigmoid weights sit in (0, 1)

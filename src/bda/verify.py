@@ -18,7 +18,7 @@ from .hypergrad import hypergrad_forward
 from .inner import AggregationSchedule, InnerTrace, run_inner
 from .numerics import (CapabilityError, ContractError, NumericalError,
                        as_vector, rng_stream)
-from .problems import BilevelProblem
+from .problems import BilevelProblem, product_rows
 
 
 @dataclass(frozen=True)
@@ -212,20 +212,18 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
     M_F = _sampled_sup(gF, infl)
     M_f = _sampled_sup(gf, infl)
 
-    if problem.L_F is not None:
-        L_F = problem.L_F
-    else:
-        problem.require("hess_yy_F")
-        L_F = _sampled_sup(
-            [np.linalg.norm(problem.hess_yy_F(xi, yi), 2)
+    def sup_hessian_norm(name):
+        problem.require(name)
+        product = getattr(problem, name)
+        return _sampled_sup(
+            [np.linalg.norm(product_rows(
+                lambda v: product(xi, yi, v), problem.m), 2)
              for xi, yi in zip(xs, ys)], infl)
-    if problem.L_f is not None:
-        L_f = problem.L_f
-    else:
-        problem.require("hess_yy_f")
-        L_f = _sampled_sup(
-            [np.linalg.norm(problem.hess_yy_f(xi, yi), 2)
-             for xi, yi in zip(xs, ys)], infl)
+
+    L_F = problem.L_F if problem.L_F is not None \
+        else sup_hessian_norm("hess_yy_F")
+    L_f = problem.L_f if problem.L_f is not None \
+        else sup_hessian_norm("hess_yy_f")
 
     if not sched.s_l < 1.0 / L_f:
         raise ContractError(f"s_l={sched.s_l} is not below 1/L_f={1.0 / L_f:.3g}")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                         cli_main, emit_trace, f1_score, hyperclean_baseline,
-                         hyperclean_metrics, load_config, parse_trace,
-                         run_experiment, suite_counterexample,
+                         ConfigError, cli_main, emit_trace, f1_score,
+                         hyperclean_baseline, hyperclean_metrics, load_config,
+                         parse_trace, run_experiment, suite_counterexample,
                          suite_hyperclean, default_hyperclean_solver)
 from bda.inner import AggregationSchedule
 from bda.outer import SolverConfig, solve
@@ -153,6 +153,37 @@ def test_cli_missing_config_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_config_unknown_keys_are_config_errors(tmp_path, capsys):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), alpha_rul="scaled",
+                             lamda=0.1)
+    with pytest.raises(ConfigError, match=r"unknown keys \['alpha_rul', 'lamda'\]"):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert "alpha_rul" in capsys.readouterr().err
+    # the beta_value alias still sets both beta keys
+    exp = load_config(_write_config(str(tmp_path / "alias.json"), beta_value=0.5))
+    assert exp.solver.sched.beta_start == exp.solver.sched.beta_lower == 0.5
+
+
+def test_cli_run_with_failing_default_step_probes_writes_aborted_summary(tmp_path):
+    # ihg on remark1 without lambda: CG meets the singular Hessian at a probe
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), method="ihg")
+    with open(cfg_path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    del cfg["lambda"]
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    out = tmp_path / "out"
+    cli_main(["run", "--config", cfg_path, "--out", str(out)])
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text, parse_constant=lambda c: pytest.fail(c))
+    assert summary["status"] == "aborted"
+    assert summary["iterations"] == 0
+    assert summary["resolved_lambda"] is None
+    assert summary["final_grad_norm"] is None
+    assert "not positive definite" in summary["error"]
+
+
 def test_cli_bad_json_is_config_error(tmp_path):
     path = str(tmp_path / "broken.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -207,6 +238,14 @@ def test_cli_gradcheck(capsys):
     assert "max relative error" in out
     printed = float(out.strip().rsplit(" ", 1)[-1])
     assert printed <= 1e-5
+
+
+def test_cli_gradcheck_rejects_truncated_trhg(capsys):
+    # a truncated estimator is biased, so differences of phi_K cannot check it
+    code = cli_main(["gradcheck", "--problem", "remark1", "--method", "trhg",
+                     "--K", "10"])
+    assert code == EXIT_CONFIG
+    assert "bda and rhg" in capsys.readouterr().err
 
 
 def test_cli_verify_lemma1(tmp_path, capsys):

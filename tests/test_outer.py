@@ -177,6 +177,17 @@ def test_capability_failure_mid_run_aborts_with_partial_record():
     assert record.xs.shape == (2, 1)
 
 
+def test_default_lambda_probe_failure_aborts_with_empty_record():
+    # no lambda: the default-step probes already meet the singular Hessian
+    cfg = SolverConfig(method="ihg", K=10, T_max=20, sched=SCHED)
+    record = solve(make_remark1(), cfg)
+    assert record.status == "aborted"
+    assert "not positive definite" in record.error
+    assert record.T == 0
+    assert record.resolved_lambda is None
+    assert len(record.metrics["phiK"]) == 0
+
+
 def test_approximate_stationarity_transfers_to_true_gradient():
     # driving the surrogate gradient to zero leaves the true value-function
     # gradient small once the horizon is long

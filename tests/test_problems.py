@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import ContractError, rng_stream
@@ -49,8 +50,10 @@ def test_declared_gradients_match_finite_differences(problem):
 
 @pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
 def test_declared_hessians_match_finite_differences(problem):
+    # each product against its central-difference Jacobian times a random v
     rng = rng_stream(5)
     x, y = _sample_xy(problem, rng)
+    v = rng.standard_normal(problem.m)
     eps = 1e-5
 
     def fd_jac(vec_fn, point, cols):
@@ -63,14 +66,61 @@ def test_declared_hessians_match_finite_differences(problem):
         return out
 
     pairs = [
-        (problem.hess_yy_f(x, y), fd_jac(lambda yy: problem.grad_y_f(x, yy), y, problem.m)),
-        (problem.hess_yy_F(x, y), fd_jac(lambda yy: problem.grad_y_F(x, yy), y, problem.m)),
-        (problem.hess_yx_f(x, y), fd_jac(lambda xx: problem.grad_y_f(xx, y), x, problem.n).reshape(problem.m, problem.n)),
-        (problem.hess_yx_F(x, y), fd_jac(lambda xx: problem.grad_y_F(xx, y), x, problem.n).reshape(problem.m, problem.n)),
+        (problem.hess_yy_f(x, y, v), fd_jac(lambda yy: problem.grad_y_f(x, yy), y, problem.m) @ v),
+        (problem.hess_yy_F(x, y, v), fd_jac(lambda yy: problem.grad_y_F(x, yy), y, problem.m) @ v),
+        (problem.hess_yx_f(x, y, v), fd_jac(lambda xx: problem.grad_y_f(xx, y), x, problem.n).T @ v),
+        (problem.hess_yx_F(x, y, v), fd_jac(lambda xx: problem.grad_y_F(xx, y), x, problem.n).T @ v),
     ]
     for declared, fd in pairs:
+        assert np.shape(declared) == fd.shape
         denom = max(np.linalg.norm(fd), 1.0)
         assert np.linalg.norm(np.asarray(declared) - fd) / denom <= 1e-4
+
+
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hessian_products_are_symmetric(problem, seed):
+    # <u, H v> = <H u, v> for both yy products at a random point
+    rng = rng_stream(seed)
+    x, y = _sample_xy(problem, rng, scale=2.0)
+    u, v = rng.standard_normal((2, problem.m))
+    for product in (problem.hess_yy_f, problem.hess_yy_F):
+        Hu, Hv = product(x, y, u), product(x, y, v)
+        scale = max(1.0, np.linalg.norm(u) * np.linalg.norm(Hv),
+                    np.linalg.norm(Hu) * np.linalg.norm(v))
+        assert abs(np.dot(u, Hv) - np.dot(Hu, v)) <= 1e-12 * scale
+
+
+def test_hyperclean_products_match_dense_hessian():
+    # the dense blocks the products replace, assembled by the 5-operand einsum;
+    # rounding is relative to the summed terms sum_i w_i |u_i|^2 |v|, since
+    # the blocks cancel to far below that once the softmax saturates
+    problem = ALL_PROBLEMS[-1]
+    md = problem.metadata
+    train, val = md["train"], md["val"]
+    C, d1 = md["config"].num_classes, md["config"].feature_dim + 1
+    rng = rng_stream(2)
+
+    def dense(data, theta, weights):
+        p = data.probs(theta)
+        diag = np.einsum("i,ic,ij,ik->cjk", weights, p, data.aug, data.aug)
+        h = -np.einsum("i,ic,ie,ij,ik->cjek", weights, p, p, data.aug, data.aug)
+        idx = np.arange(C)
+        h[idx, :, idx, :] += diag
+        return h.reshape(problem.m, problem.m)
+
+    for _ in range(20):
+        x, y = _sample_xy(problem, rng, scale=2.0)
+        theta, w = y.reshape(C, d1), _sigmoid(x)
+        grads = train.grads(theta).reshape(problem.n, problem.m)
+        v = rng.standard_normal(problem.m)
+        for product, ref, data, weights in (
+                (problem.hess_yy_f, dense(train, theta, w) @ v, train, w),
+                (problem.hess_yy_F, dense(val, theta, np.ones(8)) @ v, val, np.ones(8)),
+                (problem.hess_yx_f, (w * (1.0 - w) * grads.T).T @ v, train, w * (1.0 - w))):
+            scale = np.dot(weights, (data.aug ** 2).sum(axis=1)) * np.linalg.norm(v)
+            assert np.linalg.norm(product(x, y, v) - ref) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
