@@ -10,7 +10,9 @@ Subcommands:
 
 All trace files are written atomically and reproduce bit-for-bit under a
 fixed config and seed; wall-clock time is reported only in summary JSON.
-``BDA_THREADS`` caps sweep parallelism.
+Suites and seed sweeps run their jobs one after another on the calling
+thread.  A ``run`` whose solve ends ``aborted`` still writes every file,
+then exits with the code its error class gets (3 capability, 4 numerical).
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +47,8 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
+# an aborted run exits as its error would have, had it escaped
+ABORT_EXIT = {"CapabilityError": EXIT_CONFIG, "NumericalError": EXIT_NUMERICAL}
 
 
 class ConfigError(ValueError):
@@ -145,6 +148,17 @@ def _atomic_write(path: str, write_fn) -> None:
             os.remove(tmp)
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write a header and an iterable of rows as one CSV file (atomically)."""
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _atomic_write(path, write)
+
+
 def emit_trace(record: RunRecord, path: str) -> None:
     """Write the per-iteration trace CSV (atomically).
 
@@ -152,16 +166,9 @@ def emit_trace(record: RunRecord, path: str) -> None:
     configs yield byte-identical files; wall time lives in summary JSON.
     """
     metrics = record.metrics
-    rows = len(metrics["phiK"])
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for t in range(rows):
-            writer.writerow([t, *(_fmt(metrics[c][t]) for c in METRIC_COLUMNS),
-                             ""])
-
-    _atomic_write(path, write)
+    _write_csv(path, TRACE_COLUMNS,
+               ([t, *(_fmt(metrics[c][t]) for c in METRIC_COLUMNS), ""]
+                for t in range(len(metrics["phiK"]))))
 
 
 def parse_trace(path: str) -> dict:
@@ -179,16 +186,10 @@ def parse_trace(path: str) -> dict:
 def emit_inner_trace(record: RunRecord, path: str) -> None:
     """Dump the per-step f/F values and projection flags of the inner run
     behind each outer iteration, as kept by ``solve`` (verbosity 'full')."""
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(INNER_TRACE_COLUMNS)
-        for t, (f_vals, F_vals, active) in enumerate(record.inner_rows):
-            for k in range(len(f_vals)):
-                writer.writerow([t, k, _fmt(f_vals[k]), _fmt(F_vals[k]),
-                                 int(active[k])])
-
-    _atomic_write(path, write)
+    _write_csv(path, INNER_TRACE_COLUMNS,
+               ([t, k, _fmt(f_vals[k]), _fmt(F_vals[k]), int(active[k])]
+                for t, (f_vals, F_vals, active) in enumerate(record.inner_rows)
+                for k in range(len(f_vals))))
 
 
 def write_summary(payload: dict, path: str) -> None:
@@ -225,27 +226,18 @@ def summarize_record(record: RunRecord, problem: BilevelProblem) -> dict:
         "resolved_lambda": record.resolved_lambda,
         "wall_time_s": record.wall_time_s,
         "error": record.error,
+        "error_class": record.error_class,
     }
 
 
+# Kept as named functions only because the benchmark reads and wraps them.
 def _max_workers() -> int:
-    env = os.environ.get("BDA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"BDA_THREADS must be an integer: {env}") from err
-    return min(4, os.cpu_count() or 1)
+    return 1
 
 
 def _run_jobs(jobs):
-    """Run callables in parallel (one experiment per worker), preserving order."""
-    workers = _max_workers()
-    if workers == 1 or len(jobs) == 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [fut.result() for fut in futures]
+    """Run callables one after another on the calling thread, in order."""
+    return [job() for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +324,10 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     for rows in _run_jobs([lambda i=i: run_init(i) for i in range(num_inits)]):
         sweep_rows.extend(rows)
 
-    def write_sweep(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["init", "method", "final_err_x", "status"])
-        for row in sweep_rows:
-            writer.writerow([row["init"], row["method"],
-                             _fmt(row["final_err_x"]), row["status"]])
-
-    _atomic_write(os.path.join(out, "init_sweep.csv"), write_sweep)
+    _write_csv(os.path.join(out, "init_sweep.csv"),
+               ["init", "method", "final_err_x", "status"],
+               ([row["init"], row["method"], _fmt(row["final_err_x"]),
+                 row["status"]] for row in sweep_rows))
     summary["init_sweep"] = sweep_rows
 
     # projection on/off: start the LL outside a tight box.  Runs at a
@@ -458,15 +446,10 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str,
     problem = make_hypercleaning(cfg)
 
     if dump_dataset:
-        def write_data(fh):
-            writer = csv.writer(fh)
-            d = cfg.feature_dim
-            writer.writerow(["split", "index", "label", "corrupted_flag",
-                             *[f"feature_{j}" for j in range(d)]])
-            for row in hyperclean_dataset_rows(problem):
-                writer.writerow(row)
-
-        _atomic_write(os.path.join(out, "dataset.csv"), write_data)
+        _write_csv(os.path.join(out, "dataset.csv"),
+                   ["split", "index", "label", "corrupted_flag",
+                    *[f"feature_{j}" for j in range(cfg.feature_dim)]],
+                   hyperclean_dataset_rows(problem))
 
     base_sched = default_hyperclean_solver(problem, "bda").sched
     results = [hyperclean_baseline(problem, K=40, sched=base_sched)]
@@ -485,16 +468,11 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str,
 
     results.extend(_run_jobs([lambda m=m: run_method(m) for m in methods]))
 
-    def write_table(fh):
-        writer = csv.writer(fh)
-        cols = ["method", "val_acc", "test_acc", "f1",
-                "mean_sigma_corrupted", "mean_sigma_clean", "wall_time_s"]
-        writer.writerow(cols)
-        for row in results:
-            writer.writerow([row.get("method")] +
-                            [_fmt(row.get(c)) for c in cols[1:]])
-
-    _atomic_write(os.path.join(out, "hyperclean_table.csv"), write_table)
+    cols = ["method", "val_acc", "test_acc", "f1",
+            "mean_sigma_corrupted", "mean_sigma_clean", "wall_time_s"]
+    _write_csv(os.path.join(out, "hyperclean_table.csv"), cols,
+               ([row.get("method"), *(_fmt(row.get(c)) for c in cols[1:])]
+                for row in results))
     summary = {"config": vars(cfg), "methods": methods, "results": results}
     write_summary(summary, os.path.join(out, "summary.json"))
     return summary
@@ -655,6 +633,12 @@ def cli_main(argv) -> int:
                 exp.out_dir = args.out
             summaries = run_experiment(exp)
             print(f"run: wrote {len(summaries)} trace/summary pairs to {exp.out_dir}")
+            aborted = [s for s in summaries if s["status"] == "aborted"]
+            for s in aborted:
+                print(f"run: seed {s['config']['seed']} aborted "
+                      f"({s['error_class']}): {s['error']}", file=sys.stderr)
+            if aborted:
+                return ABORT_EXIT[aborted[0]["error_class"]]
         elif args.command == "gradcheck":
             worst = gradcheck(args.problem, args.method, K=args.K)
             print(f"gradcheck {args.problem}/{args.method} K={args.K}: "

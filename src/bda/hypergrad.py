@@ -224,7 +224,7 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
                 f"eps={eps:g} too small: probe points coincide in floating point")
         numer = (grad_x_phi(h_pp) - grad_x_phi(h_mp)
                  - (grad_x_phi(h_pm) - grad_x_phi(h_mm)))
-        g = g_direct - numer / (4.0 * eps ** 1.5)
+        g = g_direct - s * numer / (4.0 * eps ** 1.5)
         branch = "projected"
     if not np.all(np.isfinite(g)):
         raise NumericalError("one-stage hypergradient is non-finite")

@@ -95,14 +95,23 @@ class AggregationSchedule:
     def alpha_sum_diverges(self) -> bool:
         return self.alpha_rule in ("harmonic", "scaled", "constant")
 
+    def breaches(self, L_F: float | None, L_f: float | None) -> list[str]:
+        """The hypotheses s_u < 1/L_F, s_l < 1/L_f and mu in (0, 1) that this
+        schedule breaks under the given smoothness constants (None skips one)."""
+        out = []
+        if L_F is not None and not self.s_u < 1.0 / L_F:
+            out.append(f"s_u={self.s_u} is not below 1/L_F={1.0 / L_F:.3g}")
+        if L_f is not None and not self.s_l < 1.0 / L_f:
+            out.append(f"s_l={self.s_l} is not below 1/L_f={1.0 / L_f:.3g}")
+        if not 0.0 < self.mu < 1.0:
+            out.append(f"mu={self.mu} is outside (0, 1)")
+        return out
+
     def require_admissible(self, problem: BilevelProblem) -> None:
-        """Step sizes must clear the declared smoothness constants."""
-        if problem.L_F is not None and not self.s_u < 1.0 / problem.L_F:
-            raise ContractError(
-                f"s_u={self.s_u} is not below 1/L_F={1.0 / problem.L_F:.3g}")
-        if problem.L_f is not None and not self.s_l < 1.0 / problem.L_f:
-            raise ContractError(
-                f"s_l={self.s_l} is not below 1/L_f={1.0 / problem.L_f:.3g}")
+        """The schedule must meet its hypotheses under the declared constants."""
+        breaches = self.breaches(problem.L_F, problem.L_f)
+        if breaches:
+            raise ContractError("; ".join(breaches))
 
 
 @dataclass

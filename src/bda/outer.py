@@ -84,6 +84,7 @@ class RunRecord:
     y_final: np.ndarray
     config: dict
     error: str | None = None
+    error_class: str | None = None  # 'CapabilityError' | 'NumericalError'
     # per outer iteration, a (3, K+1) array of its inner run's f and F values
     # and projection flags (column k + 1 flags step k; column 0 holds 0)
     inner_rows: list = field(default_factory=list)
@@ -171,7 +172,7 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
     columns = {name: [] for name in METRIC_COLUMNS}
     inner_rows = []
     status = "max-iters"
-    error_msg = None
+    error_msg = error_class = None
     start = time.perf_counter()
     y_K = y_start
     for _ in range(cfg.T_max):
@@ -182,6 +183,8 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             g, y_K, rows = _method_gradient(problem, x, cfg, y0=y_start)
         except (NumericalError, CapabilityError) as err:
             status, error_msg = "aborted", str(err)
+            error_class = ("CapabilityError" if isinstance(err, CapabilityError)
+                           else "NumericalError")
             break
         if method.carries_inner:
             y_start = y_K
@@ -219,7 +222,7 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
         resolved_lambda=lam, wall_time_s=wall,
         final_grad_norm=float(final_grad),
         y_final=np.asarray(y_K), config=config_dict(cfg, lam),
-        error=error_msg, inner_rows=inner_rows)
+        error=error_msg, error_class=error_class, inner_rows=inner_rows)
 
 
 def config_dict(cfg: SolverConfig, resolved_lambda: float | None = None) -> dict:

@@ -188,10 +188,11 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
                            seed: int = 0) -> RateConstants:
     """Over-estimated suprema and the explicit constants of the complexity bound.
 
-    D, M_F, M_f (and the smoothness constants when the problem does not
-    declare them) are suprema over samples of X x Y, inflated by 5% so the
-    resulting constants remain valid over-estimates.  The value-function term
-    is evaluated at ``x`` when given, otherwise at the sampled supremum.
+    D is the diameter of Y and M_F, M_f (and the smoothness constants when
+    the problem does not declare them) are suprema over samples of X x Y, all
+    inflated by 5% so the resulting constants remain valid over-estimates.
+    The value-function term is evaluated at ``x`` when given, otherwise at
+    the sampled supremum.
     """
     if not (problem.region_x.is_bounded and problem.region_y.is_bounded):
         raise CapabilityError("rate constants need compact X and Y")
@@ -199,13 +200,7 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
     rng = rng_stream(seed)
     infl = TOLERANCES.sup_inflation
 
-    # diameter: corners plus their mirrors reach the exact box diagonal
-    corners = problem.region_y.sample_corners(rng, max(sample_density, 8))
-    mirrored = problem.region_y.lower + problem.region_y.upper - corners
-    cloud = np.vstack([corners, mirrored])
-    diffs = cloud[:, None, :] - cloud[None, :, :]
-    D = _sampled_sup(np.sqrt((diffs ** 2).sum(axis=2)), infl)
-
+    D = problem.region_y.diameter() * infl  # the exact box diagonal, inflated
     xs, ys = _sample_points(problem, rng, sample_density)
     gF = [np.linalg.norm(problem.grad_y_F(xi, yi)) for xi, yi in zip(xs, ys)]
     gf = [np.linalg.norm(problem.grad_y_f(xi, yi)) for xi, yi in zip(xs, ys)]
@@ -225,12 +220,9 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
     L_f = problem.L_f if problem.L_f is not None \
         else sup_hessian_norm("hess_yy_f")
 
-    if not sched.s_l < 1.0 / L_f:
-        raise ContractError(f"s_l={sched.s_l} is not below 1/L_f={1.0 / L_f:.3g}")
-    if not sched.s_u < 1.0 / L_F:
-        raise ContractError(f"s_u={sched.s_u} is not below 1/L_F={1.0 / L_F:.3g}")
-    if not (0.0 < sched.mu < 1.0):
-        raise ContractError("rate constants need mu in (0, 1)")
+    breaches = sched.breaches(L_F, L_f)
+    if breaches:
+        raise ContractError("rate constants: " + "; ".join(breaches))
 
     M0 = problem.F_lower_bound
     if x is not None:
@@ -349,18 +341,6 @@ def descent_slack(problem: BilevelProblem, x, trace: InnerTrace,
     return lhs - rhs
 
 
-def _hypothesis_breaches(problem: BilevelProblem,
-                         sched: AggregationSchedule) -> list[str]:
-    breaches = []
-    if problem.L_F is not None and not sched.s_u < 1.0 / problem.L_F:
-        breaches.append(f"s_u={sched.s_u} >= 1/L_F={1.0 / problem.L_F:.3g}")
-    if problem.L_f is not None and not sched.s_l < 1.0 / problem.L_f:
-        breaches.append(f"s_l={sched.s_l} >= 1/L_f={1.0 / problem.L_f:.3g}")
-    if not (0.0 < sched.mu < 1.0):
-        breaches.append(f"mu={sched.mu} outside (0, 1)")
-    return breaches
-
-
 def _sample_test_points(problem: BilevelProblem, trace: InnerTrace,
                         rng, count: int) -> np.ndarray:
     if problem.region_y.is_bounded:
@@ -380,7 +360,7 @@ def check_descent_inequality(problem: BilevelProblem, x, trace: InnerTrace,
     hypothesis breach up front; slacks are still evaluated for diagnosis.
     """
     problem.require("L_F", "L_f")
-    breaches = _hypothesis_breaches(problem, sched)
+    breaches = sched.breaches(problem.L_F, problem.L_f)
     rng = rng_stream(seed)
     ks = rng.integers(0, trace.K, size=num_test_points)
     y_tests = _sample_test_points(problem, trace, rng, num_test_points)

@@ -1,14 +1,19 @@
+import dataclasses
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                         ConfigError, cli_main, emit_trace, f1_score,
+import bda.harness
+from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
+                         EXIT_USAGE, ConfigError, _max_workers, _run_jobs,
+                         cli_main, emit_trace, f1_score,
                          hyperclean_baseline, hyperclean_metrics, load_config,
                          parse_trace, run_experiment, suite_counterexample,
                          suite_hyperclean, default_hyperclean_solver)
@@ -174,14 +179,57 @@ def test_cli_run_with_failing_default_step_probes_writes_aborted_summary(tmp_pat
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh)
     out = tmp_path / "out"
-    cli_main(["run", "--config", cfg_path, "--out", str(out)])
+    # the aborted run writes its files, then exits as a CapabilityError would
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
     text = (out / "summary.json").read_text(encoding="utf-8")
     summary = json.loads(text, parse_constant=lambda c: pytest.fail(c))
     assert summary["status"] == "aborted"
+    assert summary["error_class"] == "CapabilityError"
     assert summary["iterations"] == 0
     assert summary["resolved_lambda"] is None
     assert summary["final_grad_norm"] is None
     assert "not positive definite" in summary["error"]
+    assert (out / "trace.csv").exists()
+
+
+def test_cli_run_numerical_abort_exits_4_and_names_the_seeds(tmp_path, capsys,
+                                                            monkeypatch):
+    base = make_remark1()
+
+    def exploding_grad(x, y):
+        g = np.asarray(base.grad_y_f(x, y), dtype=float)
+        return g / 0.0 if x[0] < 0.3 else g   # blows up once x drifts left
+
+    monkeypatch.setattr(bda.harness, "make_problem", lambda name, **kw:
+                        dataclasses.replace(base, grad_y_f=exploding_grad))
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), seeds=[3, 4],
+                             x0=[0.8], **{"lambda": 2.0})
+    out = tmp_path / "out"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = cli_main(["run", "--config", cfg_path, "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "seed 3 aborted (NumericalError)" in err
+    assert "seed 4 aborted (NumericalError)" in err
+    for seed in (3, 4):
+        summary = json.loads((out / f"summary_{seed}.json").read_text("utf-8"))
+        assert summary["status"] == "aborted"
+        assert summary["error_class"] == "NumericalError"
+        assert (out / f"trace_{seed}.csv").exists()
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"experiment config is flat JSON:\s*```json\n(.*?)```",
+                      text, re.S).group(1)
+    path = tmp_path / "cfg.json"
+    path.write_text(block, encoding="utf-8")
+    exp = load_config(str(path))   # unknown keys would be a ConfigError
+    assert exp.problem_name == "counterexample"
+    assert exp.build_problem().n == exp.problem_params["n"]
 
 
 def test_cli_bad_json_is_config_error(tmp_path):
@@ -208,6 +256,18 @@ def test_cli_directory_on_trace_path_is_io_error(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == EXIT_IO
     assert "I/O failure" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["trace.csv"]   # no stray temp file
+
+
+def test_run_jobs_in_order_on_the_calling_thread():
+    seen = []
+
+    def job(i):
+        seen.append((i, threading.get_ident()))
+        return i * i
+
+    assert _run_jobs([lambda i=i: job(i) for i in range(5)]) == [0, 1, 4, 9, 16]
+    assert seen == [(i, threading.get_ident()) for i in range(5)]
+    assert _max_workers() == 1
 
 
 def test_module_entry_point_runs_without_runpy_warning():

@@ -214,6 +214,20 @@ def test_onestage_projected_branch_fires():
     assert np.all(np.isfinite(res.gradient))
 
 
+@pytest.mark.parametrize("s_l", [0.5, 0.9])
+def test_onestage_projected_branch_matches_one_step_reverse(s_l):
+    # the clipped step's difference carries the step size s = s_l, as the
+    # interior branch's does; one-step reverse mode is the reference
+    p = make_counterexample(2, y_radius=0.3)
+    x, y0 = np.array([1.5, 0.2]), np.zeros(p.m)
+    sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=s_l,
+                                alpha_rule="scaled", alpha_scale=0.5)
+    res = hypergrad_onestage(p, x, y0, sched, eps=1e-6)
+    ref = hypergrad_reverse(p, x, 1, sched, mode="bda", y0=y0).gradient
+    assert res.diagnostics["branch"] == "projected"
+    np.testing.assert_allclose(res.gradient, ref, rtol=1e-6)
+
+
 def test_onestage_degenerate_eps():
     p = make_remark1()
     # at eps this small the probe offsets vanish against a nonzero base point

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bda.numerics import (BoxRegion, CapabilityError, ContractError,
                           NumericalError, as_matrix, as_vector, rng_stream)
@@ -38,6 +39,27 @@ def test_project_box_nonexpansive_sampled():
         v = 3.0 * rng.standard_normal(4)
         pu, pv = region.project(u), region.project(v)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-15
+
+
+@st.composite
+def _box_and_points(draw):
+    """A box with some sides free, and two finite points of its dimension."""
+    dim = draw(st.integers(1, 6))
+    vec = st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim).map(np.array)
+    flags = st.lists(st.booleans(), min_size=dim, max_size=dim).map(np.array)
+    a, b = draw(vec), draw(vec)
+    region = BoxRegion(np.minimum(a, b), np.maximum(a, b), draw(flags), draw(flags))
+    return region, draw(vec), draw(vec)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(case=_box_and_points())
+def test_projection_properties(case):
+    region, u, v = case
+    pu, pv = region.project(u), region.project(v)
+    np.testing.assert_array_equal(region.project(pu), pu)          # idempotent
+    assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v)       # nonexpansive
+    np.testing.assert_array_equal(region.active_mask(u), pu != u)
 
 
 def test_partial_bounds_and_free_sides():

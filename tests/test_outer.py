@@ -163,6 +163,7 @@ def test_numerical_failure_aborts_with_partial_record():
     with np.errstate(divide="ignore", invalid="ignore"):
         record = solve(p, cfg, x0=np.array([0.8]))
     assert record.status == "aborted"
+    assert record.error_class == "NumericalError"
     assert "inner step" in record.error
     assert len(record.metrics["phiK"]) < 50   # partial history retained
 
@@ -172,6 +173,7 @@ def test_capability_failure_mid_run_aborts_with_partial_record():
     cfg = SolverConfig(method="ihg", K=10, lam=0.5, T_max=20, sched=SCHED)
     record = solve(make_remark1(), cfg)
     assert record.status == "aborted"
+    assert record.error_class == "CapabilityError"
     assert "not positive definite" in record.error
     assert len(record.metrics["phiK"]) == 1
     assert record.xs.shape == (2, 1)
