@@ -185,7 +185,11 @@ def parse_trace(path: str) -> dict:
 
 def emit_inner_trace(record: RunRecord, path: str) -> None:
     """Dump the per-step f/F values and projection flags of the inner run
-    behind each outer iteration, as kept by ``solve`` (verbosity 'full')."""
+    behind each outer iteration, as kept by ``solve(keep_inner=True)``
+    (verbosity 'full')."""
+    if record.T > 0 and not record.inner_rows:
+        raise ContractError("emit_inner_trace: the record kept no inner rows; "
+                            "solve with keep_inner=True")
     _write_csv(path, INNER_TRACE_COLUMNS,
                ([t, k, _fmt(f_vals[k]), _fmt(F_vals[k]), int(active[k])]
                 for t, (f_vals, F_vals, active) in enumerate(record.inner_rows)
@@ -251,7 +255,8 @@ def run_experiment(exp: ExperimentConfig) -> list[dict]:
 
     def one(seed: int):
         cfg = replace(exp.solver, seed=seed)
-        record = solve(problem, cfg, x0=exp.x0)
+        record = solve(problem, cfg, x0=exp.x0,
+                       keep_inner=exp.verbosity == "full")
         tag = f"_{seed}" if multiple else ""
         trace_path = os.path.join(exp.out_dir, f"trace{tag}.csv")
         emit_trace(record, trace_path)
@@ -561,10 +566,11 @@ def rate_check_setup(problem: BilevelProblem):
 # ---------------------------------------------------------------------------
 
 def gradcheck(problem_name: str, method: str, K: int = 20,
-              seed: int = 0) -> float:
+              seed: int = 0, params: dict | None = None) -> float:
     """Max relative error of the method's hypergradient against central
-    differences of x -> F(x, y_K(x)) (the inner run recomputed per probe)."""
-    problem = make_problem(problem_name)
+    differences of x -> F(x, y_K(x)) (the inner run recomputed per probe).
+    ``params`` are the problem's keyword parameters, as in a run config."""
+    problem = make_problem(problem_name, **(params or {}))
     if method not in ("bda", "rhg"):  # truncated trhg is biased: nothing to check
         raise ContractError("gradcheck supports the untruncated bda and rhg")
     mode = METHODS[method].inner
@@ -600,6 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--problem", required=True)
     p_gc.add_argument("--method", required=True)
     p_gc.add_argument("--K", type=int, default=20)
+    p_gc.add_argument("--params", default="{}",
+                      help="problem parameters as a JSON object")
 
     p_ce = sub.add_parser("counterexample", help="comparison suite")
     p_ce.add_argument("--n", type=int, required=True)
@@ -640,7 +648,14 @@ def cli_main(argv) -> int:
             if aborted:
                 return ABORT_EXIT[aborted[0]["error_class"]]
         elif args.command == "gradcheck":
-            worst = gradcheck(args.problem, args.method, K=args.K)
+            try:
+                params = json.loads(args.params)
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"bad --params: {err}") from err
+            if not isinstance(params, dict):
+                raise ConfigError("--params must be a JSON object")
+            worst = gradcheck(args.problem, args.method, K=args.K,
+                              params=params)
             print(f"gradcheck {args.problem}/{args.method} K={args.K}: "
                   f"max relative error {worst:.3e}")
             if worst > verify_mod.TOLERANCES.fd_rel_tol:

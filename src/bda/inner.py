@@ -121,8 +121,6 @@ class InnerTrace:
     ys: np.ndarray            # (K+1, m)
     z_u: np.ndarray           # (K, m)   y_k - s_u alpha_k grad_y F
     z_l: np.ndarray           # (K, m)   y_k - s_l beta_k grad_y f
-    f_vals: np.ndarray        # (K+1,)
-    F_vals: np.ndarray        # (K+1,)
     alphas: np.ndarray        # (K,)
     betas: np.ndarray         # (K,)
     proj_active: np.ndarray   # (K, m) bool, per-coordinate clamping
@@ -133,7 +131,7 @@ class InnerTrace:
         return self.ys.shape[0] - 1
 
     def validate(self) -> None:
-        for name in ("ys", "z_u", "z_l", "f_vals", "F_vals"):
+        for name in ("ys", "z_u", "z_l"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NumericalError(f"InnerTrace.{name}: non-finite entries")
 
@@ -194,7 +192,8 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     Returns (y_K, InnerTrace).  mode 'bda' performs aggregated steps, mode
     'plain' performs lower-level gradient steps with step size sched.s_l; in
     plain mode the stored auxiliaries are z_u = y_k (no UL move) and
-    z_l = y_{k+1} before projection.
+    z_l = y_{k+1} before projection.  Only gradients are evaluated; the f and
+    F values along the run come from ``inner_values`` on request.
     """
     if K < 0:
         raise ContractError("run_inner: K must be >= 0")
@@ -208,15 +207,11 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     ys = np.empty((K + 1, m))
     z_u = np.empty((K, m))
     z_l = np.empty((K, m))
-    f_vals = np.empty(K + 1)
-    F_vals = np.empty(K + 1)
     alphas = np.empty(K)
     betas = np.empty(K)
     proj_active = np.zeros((K, m), dtype=bool)
 
     ys[0] = y
-    f_vals[0] = problem.f(x, y)
-    F_vals[0] = problem.F(x, y)
     for k in range(K):
         try:
             if mode == "bda":
@@ -227,18 +222,24 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
             y_next = problem.region_y.project(pre)
         except NumericalError as err:
             raise NumericalError(f"inner step k={k}: {err}") from err
-        proj_active[k] = problem.region_y.active_mask(pre)
+        proj_active[k] = y_next != pre
         ys[k + 1] = y_next
         z_u[k] = zu_k
         z_l[k] = zl_k
         alphas[k] = sched.alpha(k)
         betas[k] = sched.beta(k)
-        f_vals[k + 1] = problem.f(x, y_next)
-        F_vals[k + 1] = problem.F(x, y_next)
         y = y_next
 
-    trace = InnerTrace(ys=ys, z_u=z_u, z_l=z_l, f_vals=f_vals, F_vals=F_vals,
-                       alphas=alphas, betas=betas, proj_active=proj_active,
-                       mode=mode)
+    trace = InnerTrace(ys=ys, z_u=z_u, z_l=z_l, alphas=alphas, betas=betas,
+                       proj_active=proj_active, mode=mode)
     trace.validate()
     return y, trace
+
+
+def inner_values(problem: BilevelProblem, x, ys) -> np.ndarray:
+    """f and F at each inner iterate in ``ys``: a (2, len(ys)) array."""
+    vals = np.array([[problem.f(x, y) for y in ys],
+                     [problem.F(x, y) for y in ys]], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("non-finite f or F value along the inner run")
+    return vals

@@ -15,7 +15,7 @@ import numpy as np
 from .hypergrad import (IMPLICIT_ORACLES, ONESTAGE_ORACLES, UNROLL_ORACLES,
                         hypergrad_implicit, hypergrad_onestage,
                         hypergrad_reverse)
-from .inner import AggregationSchedule, default_y0, run_inner
+from .inner import AggregationSchedule, default_y0, inner_values, run_inner
 from .numerics import (BoxRegion, CapabilityError, ContractError,
                        NumericalError, as_vector)
 from .problems import BilevelProblem
@@ -85,8 +85,9 @@ class RunRecord:
     config: dict
     error: str | None = None
     error_class: str | None = None  # 'CapabilityError' | 'NumericalError'
-    # per outer iteration, a (3, K+1) array of its inner run's f and F values
-    # and projection flags (column k + 1 flags step k; column 0 holds 0)
+    # kept only by solve(keep_inner=True): per outer iteration, a (3, K+1)
+    # array of its inner run's f and F values and projection flags (column
+    # k + 1 flags step k; column 0 holds 0)
     inner_rows: list = field(default_factory=list)
 
     @property
@@ -105,28 +106,33 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
     return region_x.project(x - lam * g)
 
 
-def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
-    """Hypergradient, final y, and inner rows of one outer iteration."""
+def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None,
+                     keep_inner: bool = False):
+    """Hypergradient, final y, and rows of one outer iteration: f and F values
+    over projection flags, at every inner iterate when ``keep_inner`` (a
+    (3, K+1) array; for obda, at the carried y_t and y_{t+1}), else at y_K
+    alone (a (3, 1) array)."""
     method = METHODS[cfg.method]
-    if method.route == "reverse":
-        res = hypergrad_reverse(problem, x, cfg.K, cfg.sched, mode=method.inner,
-                                truncate_at=cfg.truncate_at, y0=y0)
-        y_K, trace = res.diagnostics["y_final"], res.diagnostics["trace"]
-    elif method.route == "implicit":
-        y_K, trace = run_inner(problem, x, cfg.K, cfg.sched, mode=method.inner,
-                               y0=y0)
-        res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
-                                 cg_max_iter=cfg.cg_max_iter)
-    else:  # one aggregated step from the carried y0
+    if method.route == "onestage":  # one aggregated step from the carried y0
         res = hypergrad_onestage(problem, x, y0, cfg.sched, cfg.onestage_eps)
         y_K = res.diagnostics["y1"]
-        return res.gradient, y_K, np.array(
-            [[problem.f(x, y0), problem.f(x, y_K)],
-             [problem.F(x, y0), problem.F(x, y_K)],
-             [0.0, res.diagnostics["branch"] == "projected"]])
-    return res.gradient, y_K, np.array(
-        [trace.f_vals, trace.F_vals,
-         np.r_[False, trace.proj_active.any(axis=1)]])
+        ys, active = (y0, y_K), [res.diagnostics["branch"] == "projected"]
+    else:
+        if method.route == "reverse":
+            res = hypergrad_reverse(problem, x, cfg.K, cfg.sched,
+                                    mode=method.inner,
+                                    truncate_at=cfg.truncate_at, y0=y0)
+            y_K, trace = res.diagnostics["y_final"], res.diagnostics["trace"]
+        else:
+            y_K, trace = run_inner(problem, x, cfg.K, cfg.sched,
+                                   mode=method.inner, y0=y0)
+            res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
+                                     cg_max_iter=cfg.cg_max_iter)
+        ys, active = trace.ys, trace.proj_active.any(axis=1)
+    if not keep_inner:
+        ys, active = (y_K,), []
+    return res.gradient, y_K, np.vstack(
+        [inner_values(problem, x, ys), np.r_[False, active]])
 
 
 def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
@@ -152,12 +158,13 @@ def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
 
 
 def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
-          y0=None) -> RunRecord:
+          y0=None, keep_inner: bool = False) -> RunRecord:
     """Run the configured method until the outer step stalls or T_max.
 
     ``y0`` overrides the fixed inner initialization (default: 0 projected
     onto Y).  For obda the inner state instead persists across outer
-    iterations, starting from ``y0``.
+    iterations, starting from ``y0``.  f and F are evaluated at y_K only,
+    unless ``keep_inner`` asks for their values along every inner run.
     """
     method = METHODS[cfg.method]
     problem.require(*method.requires)
@@ -180,7 +187,8 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             # resolved here so that a failing probe also aborts with a record
             if lam is None:
                 lam = default_lambda(problem, cfg, x)
-            g, y_K, rows = _method_gradient(problem, x, cfg, y0=y_start)
+            g, y_K, rows = _method_gradient(problem, x, cfg, y0=y_start,
+                                            keep_inner=keep_inner)
         except (NumericalError, CapabilityError) as err:
             status, error_msg = "aborted", str(err)
             error_class = ("CapabilityError" if isinstance(err, CapabilityError)
@@ -188,7 +196,8 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             break
         if method.carries_inner:
             y_start = y_K
-        inner_rows.append(rows)
+        if keep_inner:
+            inner_rows.append(rows)
         f_K, F_K = rows[0, -1], rows[1, -1]
         columns["phiK"].append(F_K)
         columns["grad_norm"].append(float(np.linalg.norm(g)))

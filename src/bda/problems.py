@@ -450,12 +450,9 @@ class HypercleanConfig:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    ez = np.exp(t[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|t|) cannot overflow: 1/(1+e) for t >= 0, e/(1+e) below
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(logits):

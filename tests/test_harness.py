@@ -13,11 +13,12 @@ import pytest
 import bda.harness
 from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_USAGE, ConfigError, _max_workers, _run_jobs,
-                         cli_main, emit_trace, f1_score,
+                         cli_main, emit_inner_trace, emit_trace, f1_score,
                          hyperclean_baseline, hyperclean_metrics, load_config,
                          parse_trace, run_experiment, suite_counterexample,
                          suite_hyperclean, default_hyperclean_solver)
 from bda.inner import AggregationSchedule
+from bda.numerics import ContractError
 from bda.outer import SolverConfig, solve
 from bda.problems import HypercleanConfig, make_hypercleaning, make_remark1
 
@@ -124,6 +125,34 @@ def test_run_experiment_full_verbosity_inner_trace(tmp_path):
     with open(inner, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == "t,k,f_val,F_val,proj_active"
+
+
+def test_inner_trace_needs_kept_rows(tmp_path):
+    _, _, record = _small_record()  # solved without keep_inner
+    path = str(tmp_path / "inner_trace.csv")
+    with pytest.raises(ContractError, match="keep_inner"):
+        emit_inner_trace(record, path)
+    assert not os.path.exists(path)
+
+
+def test_traces_byte_identical_across_two_processes(tmp_path):
+    import bda
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bda.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    # no lambda, so the seeded default-step probes run as well
+    cfg = _write_config(str(tmp_path / "cfg.json"), method="bda", T_max=15,
+                        verbosity="full", **{"lambda": None})
+    outs = [str(tmp_path / f"out{i}") for i in (0, 1)]
+    for out in outs:
+        done = subprocess.run(
+            [sys.executable, "-m", "bda.harness", "run", "--config", cfg,
+             "--out", out], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+    for name in ("trace.csv", "inner_trace.csv"):
+        first, second = (os.path.join(out, name) for out in outs)
+        assert os.path.getsize(first) > 0
+        assert filecmp.cmp(first, second, shallow=False), name
 
 
 def test_inner_trace_written_without_rerunning_inner(tmp_path, monkeypatch):
@@ -298,6 +327,20 @@ def test_cli_gradcheck(capsys):
     assert "max relative error" in out
     printed = float(out.strip().rsplit(" ", 1)[-1])
     assert printed <= 1e-5
+
+
+def test_cli_gradcheck_problem_params(capsys):
+    from bda.verify import TOLERANCES
+    code = cli_main(["gradcheck", "--problem", "counterexample", "--params",
+                     '{"n": 3}', "--method", "bda", "--K", "10"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert float(out.strip().rsplit(" ", 1)[-1]) <= TOLERANCES.fd_rel_tol
+    for params in ("{n: 3", "[3]", '{"size": 3}'):
+        code = cli_main(["gradcheck", "--problem", "counterexample",
+                         "--params", params, "--method", "bda"])
+        assert code == EXIT_CONFIG, params
+        assert "error" in capsys.readouterr().err
 
 
 def test_cli_gradcheck_rejects_truncated_trhg(capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bda.inner import (AggregationSchedule, aggregated_step,
-                       descent_directions, plain_gd_step, run_inner)
+                       descent_directions, inner_values, plain_gd_step,
+                       run_inner)
 from bda.numerics import ContractError, NumericalError
 from bda.problems import (make_counterexample, make_lls_quadratic,
                           make_remark1)
@@ -183,7 +184,8 @@ def test_run_inner_trace_shapes_and_determinism():
     assert t1.ys.shape == (26, 4)
     assert t1.z_u.shape == (25, 4)
     np.testing.assert_array_equal(y1, y2)
-    np.testing.assert_array_equal(t1.f_vals, t2.f_vals)
+    np.testing.assert_array_equal(inner_values(p, x, t1.ys),
+                                  inner_values(p, x, t2.ys))
 
 
 def test_run_inner_plain_matches_closed_form():
@@ -215,7 +217,7 @@ def test_run_inner_bda_ll_gap_monotone_after_transient():
                                 alpha_rule="scaled", alpha_scale=0.5)
     x = np.ones(50)
     _, trace = run_inner(p, x, 20, sched, mode="bda")
-    gaps = trace.f_vals - p.f_star_of_x(x)
+    gaps = inner_values(p, x, trace.ys)[0] - p.f_star_of_x(x)
     for k in range(3, 20):
         assert gaps[k + 1] <= gaps[k] + 1e-15
 
@@ -263,6 +265,6 @@ def test_unbounded_region_run_stays_bounded_and_converges():
     x = np.array([0.5, -0.5])
     _, trace = run_inner(p, x, 400, sched, mode="bda")
     assert np.all(np.abs(trace.ys) < 50.0)
-    gaps = trace.f_vals - p.f_star_of_x(x)
+    gaps = inner_values(p, x, trace.ys)[0] - p.f_star_of_x(x)
     assert gaps[-1] <= 1e-6
     assert gaps[-1] <= gaps[40]

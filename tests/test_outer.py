@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bda.inner import AggregationSchedule
+from bda.hypergrad import hypergrad_onestage
+from bda.inner import AggregationSchedule, default_y0, run_inner
 from bda.numerics import BoxRegion, CapabilityError, ContractError
 from bda.outer import SolverConfig, outer_step, solve
 from bda.problems import (make_counterexample, make_lls_quadratic,
@@ -202,3 +203,67 @@ def test_approximate_stationarity_transfers_to_true_gradient():
     assert record.final_grad_norm <= 1e-6
     true_grad = np.linalg.norm(p.grad_phi_of_x(record.x_final))
     assert true_grad <= 1e-3
+
+
+def _value_counting(problem):
+    """Copy of ``problem`` whose f and F count their calls in ``calls``."""
+    calls = {"f": 0, "F": 0}
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def call(x, y):
+            calls[name] += 1
+            return fn(x, y)
+        return call
+
+    return dataclasses.replace(problem, f=counted("f"), F=counted("F")), calls
+
+
+@pytest.mark.parametrize("method", ["bda", "rhg", "ihg", "obda"])
+def test_values_only_at_y_K_unless_inner_rows_are_kept(method):
+    # ihg aborts at its second iteration (the counterexample's lower-level
+    # Hessian is singular in z); the completed iteration still counts
+    K = 4
+    for keep_inner, per_iter in ((False, 1), (True, 2 if method == "obda"
+                                              else K + 1)):
+        p, calls = _value_counting(make_counterexample(3))
+        cfg = SolverConfig(method=method, K=K, lam=0.01, T_max=5, sched=SCHED)
+        record = solve(p, cfg, keep_inner=keep_inner)
+        assert record.T >= 1
+        assert calls == {"f": per_iter * record.T, "F": per_iter * record.T}
+        assert len(record.inner_rows) == (record.T if keep_inner else 0)
+
+
+def test_kept_inner_rows_match_values_at_the_inner_iterates():
+    # independent oracle: f and F called directly at run_inner's iterates
+    # (bda) and at the carried one-stage states (obda)
+    p = make_counterexample(3, y_radius=0.5)
+    sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
+    x0 = np.ones(3)  # pulls y onto its box after a few free steps
+    cfg = SolverConfig(method="bda", K=6, lam=0.01, T_max=8, sched=sched)
+    record = solve(p, cfg, x0=x0, keep_inner=True)
+    assert record.T == len(record.inner_rows) == 8
+    for t, rows in enumerate(record.inner_rows):
+        x = record.xs[t]
+        _, trace = run_inner(p, x, cfg.K, sched, mode="bda")
+        np.testing.assert_array_equal(rows[0], [p.f(x, y) for y in trace.ys])
+        np.testing.assert_array_equal(rows[1], [p.F(x, y) for y in trace.ys])
+        np.testing.assert_array_equal(
+            rows[2], np.r_[False, trace.proj_active.any(axis=1)])
+    assert any(0 < rows[2].sum() < cfg.K for rows in record.inner_rows)
+    assert record.metrics["phiK"][-1] == record.inner_rows[-1][1, -1]
+
+    cfg = SolverConfig(method="obda", K=1, lam=0.01, T_max=8, sched=sched)
+    record = solve(p, cfg, x0=x0, keep_inner=True)
+    assert record.T == len(record.inner_rows) == 8
+    y = default_y0(p)
+    for t, rows in enumerate(record.inner_rows):
+        x = record.xs[t]
+        res = hypergrad_onestage(p, x, y, sched, cfg.onestage_eps)
+        y_next = res.diagnostics["y1"]
+        np.testing.assert_array_equal(rows[:2], [[p.f(x, y), p.f(x, y_next)],
+                                                 [p.F(x, y), p.F(x, y_next)]])
+        assert rows[2, 1] == (res.diagnostics["branch"] == "projected")
+        y = y_next
+    assert any(rows[2, 1] for rows in record.inner_rows)

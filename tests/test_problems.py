@@ -318,3 +318,30 @@ def test_make_problem_factory():
     assert make_problem("counterexample", n=2).n == 2
     with pytest.raises(ContractError):
         make_problem("nope")
+
+
+def _sigmoid_masked(t):
+    # reference: the boolean-mask form, one exp per sign
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    ez = np.exp(t[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    rng = rng_stream(21)
+    t = np.concatenate([800.0 * rng.standard_normal(300_000),
+                        rng.uniform(-3500.0, 3500.0, 100_000),
+                        rng.standard_normal(100_000),
+                        [0.0, -0.0, 745.0, -745.0, 3500.0, -3500.0]])
+    # exp(-|t|) underflows to 0 past |t| ~ 745 in both forms, which is the
+    # intended saturation; overflow, invalid and divide errors raise
+    with np.errstate(all="raise", under="ignore"):
+        got, want = _sigmoid(t), _sigmoid_masked(t)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    with np.errstate(all="raise"):
+        mid = t[np.abs(t) < 700.0]
+        np.testing.assert_array_equal(_sigmoid(mid).view(np.int64),
+                                      _sigmoid_masked(mid).view(np.int64))
