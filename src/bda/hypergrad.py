@@ -75,7 +75,7 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
                                 trace.alphas[k], trace.betas[k], sched)
         g -= yx(q)
         p = q - yy(q)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError("reverse hypergradient is non-finite")
     return HypergradResult(
         gradient=g, method="reverse",
@@ -107,7 +107,7 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
         J[trace.proj_active[k]] = 0.0
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float) \
         + J.T @ np.asarray(problem.grad_y_F(x, y_K), dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError("forward hypergradient is non-finite")
     return HypergradResult(
         gradient=g, method="forward",
@@ -158,7 +158,7 @@ def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
         lambda v: problem.hess_yy_f(x, y_hat, v), bvec, cg_tol, max_iter)
     g = np.asarray(problem.grad_x_F(x, y_hat), dtype=float) \
         - problem.hess_yx_f(x, y_hat, q)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError("implicit hypergradient is non-finite")
     return HypergradResult(
         gradient=g, method="implicit",
@@ -226,7 +226,7 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
                  - (grad_x_phi(h_pm) - grad_x_phi(h_mm)))
         g = g_direct - s * numer / (4.0 * eps ** 1.5)
         branch = "projected"
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError("one-stage hypergradient is non-finite")
     return HypergradResult(
         gradient=g, method="onestage",

@@ -132,7 +132,7 @@ class InnerTrace:
 
     def validate(self) -> None:
         for name in ("ys", "z_u", "z_l"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise NumericalError(f"InnerTrace.{name}: non-finite entries")
 
 
@@ -142,9 +142,9 @@ def descent_directions(problem: BilevelProblem, x, y, k: int,
     x, y = problem.check_point(x, y)
     gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
     gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
-    if not np.all(np.isfinite(gF)):
+    if not np.isfinite(gF).all():
         raise NumericalError(f"grad_y_F non-finite at inner step k={k}")
-    if not np.all(np.isfinite(gf)):
+    if not np.isfinite(gf).all():
         raise NumericalError(f"grad_y_f non-finite at inner step k={k}")
     return sched.s_u * gF, sched.s_l * gf
 
@@ -171,7 +171,7 @@ def _plain_point(problem: BilevelProblem, x, y, s_l: float):
         raise ContractError("plain_gd_step: s_l must be positive")
     x, y = problem.check_point(x, y)
     gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
-    if not np.all(np.isfinite(gf)):
+    if not np.isfinite(gf).all():
         raise NumericalError("grad_y_f non-finite in plain step")
     return y - s_l * gf
 
@@ -240,6 +240,6 @@ def inner_values(problem: BilevelProblem, x, ys) -> np.ndarray:
     """f and F at each inner iterate in ``ys``: a (2, len(ys)) array."""
     vals = np.array([[problem.f(x, y) for y in ys],
                      [problem.F(x, y) for y in ys]], dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalError("non-finite f or F value along the inner run")
     return vals

@@ -32,7 +32,7 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise ContractError(f"{name}: expected a 1-D array, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ContractError(f"{name}: expected dimension {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"{name}: non-finite entries")
     return arr
 
@@ -47,7 +47,7 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None,
         raise ContractError(f"{name}: expected {rows} rows, got {arr.shape[0]}")
     if cols is not None and arr.shape[1] != cols:
         raise ContractError(f"{name}: expected {cols} cols, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"{name}: non-finite entries")
     return arr
 
@@ -65,7 +65,8 @@ class BoxRegion:
     Unbounded sides are flagged in ``lower_free`` / ``upper_free`` rather than
     stored as floating infinities, so vectors handled by the arithmetic stay
     finite.  The bound arrays hold 0.0 at free coordinates; those entries are
-    never read.
+    never read.  Projection clamps against a private floor and ceiling that
+    hold -inf / +inf on free sides, built once here.
     """
 
     lower: np.ndarray
@@ -80,7 +81,7 @@ class BoxRegion:
         uf = np.asarray(self.upper_free, dtype=bool)
         if not (lo.shape == hi.shape == lf.shape == uf.shape) or lo.ndim != 1:
             raise ContractError("BoxRegion: bound arrays must share one 1-D shape")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise NumericalError("BoxRegion: bound values must be finite")
         both = ~lf & ~uf
         if np.any(lo[both] > hi[both]):
@@ -89,6 +90,8 @@ class BoxRegion:
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "lower_free", lf)
         object.__setattr__(self, "upper_free", uf)
+        object.__setattr__(self, "_floor", np.where(lf, -np.inf, lo))
+        object.__setattr__(self, "_ceil", np.where(uf, np.inf, hi))
 
     @classmethod
     def cube(cls, dim: int, lo: float, hi: float) -> "BoxRegion":
@@ -118,19 +121,12 @@ class BoxRegion:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = as_vector(v, dim=self.dim, name="point")
-        out = v.copy()
-        clip_lo = ~self.lower_free
-        clip_hi = ~self.upper_free
-        out[clip_lo] = np.maximum(out[clip_lo], self.lower[clip_lo])
-        out[clip_hi] = np.minimum(out[clip_hi], self.upper[clip_hi])
-        return out
+        return np.minimum(np.maximum(v, self._floor), self._ceil)
 
     def active_mask(self, v: np.ndarray) -> np.ndarray:
         """Boolean mask of coordinates where projecting ``v`` clamps it."""
         v = as_vector(v, dim=self.dim, name="point")
-        below = (~self.lower_free) & (v < self.lower)
-        above = (~self.upper_free) & (v > self.upper)
-        return below | above
+        return (v < self._floor) | (v > self._ceil)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform samples; requires a bounded region."""

@@ -106,33 +106,25 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
     return region_x.project(x - lam * g)
 
 
-def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None,
-                     keep_inner: bool = False):
-    """Hypergradient, final y, and rows of one outer iteration: f and F values
-    over projection flags, at every inner iterate when ``keep_inner`` (a
-    (3, K+1) array; for obda, at the carried y_t and y_{t+1}), else at y_K
-    alone (a (3, 1) array)."""
+def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
+    """Hypergradient of one outer iteration, its inner iterates (ending at
+    y_K; for obda, the carried y_t and y_{t+1}) and per-step projection flags.
+    No f or F value is evaluated."""
     method = METHODS[cfg.method]
     if method.route == "onestage":  # one aggregated step from the carried y0
         res = hypergrad_onestage(problem, x, y0, cfg.sched, cfg.onestage_eps)
-        y_K = res.diagnostics["y1"]
-        ys, active = (y0, y_K), [res.diagnostics["branch"] == "projected"]
+        return (res.gradient, (y0, res.diagnostics["y1"]),
+                [res.diagnostics["branch"] == "projected"])
+    if method.route == "reverse":
+        res = hypergrad_reverse(problem, x, cfg.K, cfg.sched, mode=method.inner,
+                                truncate_at=cfg.truncate_at, y0=y0)
+        trace = res.diagnostics["trace"]
     else:
-        if method.route == "reverse":
-            res = hypergrad_reverse(problem, x, cfg.K, cfg.sched,
-                                    mode=method.inner,
-                                    truncate_at=cfg.truncate_at, y0=y0)
-            y_K, trace = res.diagnostics["y_final"], res.diagnostics["trace"]
-        else:
-            y_K, trace = run_inner(problem, x, cfg.K, cfg.sched,
-                                   mode=method.inner, y0=y0)
-            res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
-                                     cg_max_iter=cfg.cg_max_iter)
-        ys, active = trace.ys, trace.proj_active.any(axis=1)
-    if not keep_inner:
-        ys, active = (y_K,), []
-    return res.gradient, y_K, np.vstack(
-        [inner_values(problem, x, ys), np.r_[False, active]])
+        y_K, trace = run_inner(problem, x, cfg.K, cfg.sched,
+                               mode=method.inner, y0=y0)
+        res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
+                                 cg_max_iter=cfg.cg_max_iter)
+    return res.gradient, trace.ys, trace.proj_active.any(axis=1)
 
 
 def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
@@ -187,18 +179,20 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             # resolved here so that a failing probe also aborts with a record
             if lam is None:
                 lam = default_lambda(problem, cfg, x)
-            g, y_K, rows = _method_gradient(problem, x, cfg, y0=y_start,
-                                            keep_inner=keep_inner)
+            g, ys, active = _method_gradient(problem, x, cfg, y0=y_start)
+            # f and F along the kept inner run, else at y_K alone
+            values = inner_values(problem, x, ys if keep_inner else ys[-1:])
         except (NumericalError, CapabilityError) as err:
             status, error_msg = "aborted", str(err)
             error_class = ("CapabilityError" if isinstance(err, CapabilityError)
                            else "NumericalError")
             break
+        y_K = ys[-1]
         if method.carries_inner:
             y_start = y_K
         if keep_inner:
-            inner_rows.append(rows)
-        f_K, F_K = rows[0, -1], rows[1, -1]
+            inner_rows.append(np.vstack([values, np.r_[False, active]]))
+        f_K, F_K = values[:, -1]
         columns["phiK"].append(F_K)
         columns["grad_norm"].append(float(np.linalg.norm(g)))
         columns["err_x"].append(

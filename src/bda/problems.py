@@ -461,6 +461,28 @@ def _softmax(logits):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
+class _LastValue:
+    """``fn(arg)`` with a one-entry cache keyed on the bytes of ``arg``.
+
+    A value key is never stale: an argument changed in place is a miss.  The
+    cached array is read-only, so no caller can alter a later hit.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._entry = (None, None)  # (key, value), replaced as one tuple
+
+    def __call__(self, arg):
+        arg = np.asarray(arg, dtype=float)
+        key = arg.tobytes()
+        cached_key, value = self._entry
+        if key != cached_key:
+            value = self._fn(arg)
+            value.flags.writeable = False
+            self._entry = (key, value)
+        return value
+
+
 class _SoftmaxData:
     """Pre-augmented features and one-hot labels for one split."""
 
@@ -486,10 +508,17 @@ class _SoftmaxData:
         picked = z[np.arange(z.shape[0]), self.labels]
         return logsumexp - picked
 
-    def grads(self, theta: Array) -> Array:
-        # per-sample gradient of the cross-entropy, flattened C*(d+1)
+    def grad(self, theta: Array, weights: Array) -> Array:
+        """sum_i w_i grad of sample i's cross-entropy, as one product
+        (w * (P - Y))' A, flattened C*(d+1)."""
         resid = self.probs(theta) - self.onehot          # (N, C)
-        return np.einsum("ic,ij->icj", resid, self.aug)  # (N, C, d+1)
+        return ((weights[:, None] * resid).T @ self.aug).ravel()
+
+    def grad_dot(self, theta: Array, v: Array) -> Array:
+        """Per-sample <grad of sample i's cross-entropy, v>:
+        rowsum((P - Y) * (A V')), length N."""
+        resid = self.probs(theta) - self.onehot
+        return (resid * self.logits(v.reshape(theta.shape))).sum(axis=1)
 
     def hess_vec(self, theta: Array, weights: Array, v: Array) -> Array:
         """sum_i w_i (diag(p_i) - p_i p_i') kron (u_i u_i') times v, flattened;
@@ -549,6 +578,8 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         return y.reshape(C, d + 1)
 
     ridge = cfg.ul_ridge
+    sigmoid = _LastValue(_sigmoid)  # x changes once per outer iteration
+    val_ones = np.ones(val.labels.shape[0])
 
     def F(x, y):
         out = float(val.losses(unpack(y)).sum())
@@ -557,35 +588,33 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         return out
 
     def f(x, y):
-        w = _sigmoid(x)
-        return float(np.dot(w, train.losses(unpack(y))))
+        return float(np.dot(sigmoid(x), train.losses(unpack(y))))
 
     def grad_x_F(x, y):
         return ridge * np.asarray(x, dtype=float) if ridge else np.zeros(n)
 
     def grad_y_F(x, y):
-        return val.grads(unpack(y)).sum(axis=0).ravel()
+        return val.grad(unpack(y), val_ones)
 
     def grad_y_f(x, y):
-        w = _sigmoid(x)
-        return np.einsum("i,icj->cj", w, train.grads(unpack(y))).ravel()
+        return train.grad(unpack(y), sigmoid(x))
 
     def grad_x_f(x, y):
-        w = _sigmoid(x)
+        w = sigmoid(x)
         return w * (1.0 - w) * train.losses(unpack(y))
 
     def hess_yy_F(x, y, v):
-        return val.hess_vec(unpack(y), np.ones(val.labels.shape[0]), v)
+        return val.hess_vec(unpack(y), val_ones, v)
 
     def hess_yx_F(x, y, v):
         return np.zeros(n)
 
     def hess_yy_f(x, y, v):
-        return train.hess_vec(unpack(y), _sigmoid(x), v)
+        return train.hess_vec(unpack(y), sigmoid(x), v)
 
     def hess_yx_f(x, y, v):
-        w = _sigmoid(x)
-        return w * (1.0 - w) * (train.grads(unpack(y)).reshape(n, m) @ v)
+        w = sigmoid(x)
+        return w * (1.0 - w) * train.grad_dot(unpack(y), v)
 
     # global smoothness bounds: each per-sample Hessian is bounded by
     # |u_i|^2 / 2 in spectral norm and the sigmoid weights sit in (0, 1)

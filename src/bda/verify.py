@@ -75,7 +75,7 @@ def grid_argmin(scalar_map, interval, points: int, vectorized: bool = False):
     else:
         vals = np.fromiter((float(scalar_map(float(t))) for t in xs),
                            dtype=float, count=points)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalError("grid_argmin: non-finite objective values")
     idx = int(np.argmin(vals))  # argmin returns the first (smallest x) tie
     return float(xs[idx]), float(vals[idx])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bda.numerics import (BoxRegion, CapabilityError, ContractError,
                           NumericalError, as_matrix, as_vector, rng_stream)
@@ -60,6 +60,49 @@ def test_projection_properties(case):
     np.testing.assert_array_equal(region.project(pu), pu)          # idempotent
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v)       # nonexpansive
     np.testing.assert_array_equal(region.active_mask(u), pu != u)
+
+
+def _masked_project(region, v):
+    """Reference projection: clamp only the bounded sides, by boolean masks
+    on a copy."""
+    out = v.copy()
+    clip_lo, clip_hi = ~region.lower_free, ~region.upper_free
+    out[clip_lo] = np.maximum(out[clip_lo], region.lower[clip_lo])
+    out[clip_hi] = np.minimum(out[clip_hi], region.upper[clip_hi])
+    return out
+
+
+@st.composite
+def _box_and_edge_point(draw):
+    """A box with some sides free and signed zeros among its bounds, and a
+    point whose coordinates are each a lower bound, an upper bound, or a
+    draw that favours +-0.0 and +-1.0; long enough for vectorized loops."""
+    dim = draw(st.integers(1, 40))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(-1e6, 1e6))
+    vec = st.lists(value, min_size=dim, max_size=dim).map(np.array)
+    flags = st.lists(st.booleans(), min_size=dim, max_size=dim).map(np.array)
+    a, b = draw(vec), draw(vec)
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    region = BoxRegion(lower, upper, draw(flags), draw(flags))
+    pick = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+    return region, np.choose(pick, [lower, upper, draw(vec)])
+
+
+_SIGNED_ZERO_BOX = BoxRegion(np.array([-0.0, 0.0, 0.0, -0.0]),
+                             np.array([0.0, -0.0, 0.0, -0.0]),
+                             np.zeros(4, bool), np.array([False, False, True, True]))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(case=_box_and_edge_point())
+@example(case=(_SIGNED_ZERO_BOX, np.array([0.0, -0.0, -0.0, 0.0])))
+@example(case=(_SIGNED_ZERO_BOX, np.array([-0.0, 0.0, 0.0, -0.0])))
+def test_project_bitwise_equals_masked_form(case):
+    region, v = case
+    got = region.project(v)
+    assert got.tobytes() == _masked_project(region, v).tobytes()
+    assert not np.shares_memory(got, v)
 
 
 def test_partial_bounds_and_free_sides():

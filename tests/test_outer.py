@@ -235,6 +235,18 @@ def test_values_only_at_y_K_unless_inner_rows_are_kept(method):
         assert len(record.inner_rows) == (record.T if keep_inner else 0)
 
 
+@pytest.mark.parametrize("method", ["bda", "rhg", "obda"])
+def test_default_step_probes_evaluate_no_values(method):
+    # with no lambda, the probes of default_lambda take only hypergradients;
+    # f and F are still evaluated once per completed outer iteration, the
+    # first at x0
+    p, calls = _value_counting(make_counterexample(3))
+    cfg = SolverConfig(method=method, K=4, T_max=5, sched=SCHED)
+    record = solve(p, cfg)
+    assert record.T >= 1 and record.resolved_lambda is not None
+    assert calls == {"f": record.T, "F": record.T}
+
+
 def test_kept_inner_rows_match_values_at_the_inner_iterates():
     # independent oracle: f and F called directly at run_inner's iterates
     # (bda) and at the carried one-stage states (obda)

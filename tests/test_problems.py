@@ -113,7 +113,8 @@ def test_hyperclean_products_match_dense_hessian():
     for _ in range(20):
         x, y = _sample_xy(problem, rng, scale=2.0)
         theta, w = y.reshape(C, d1), _sigmoid(x)
-        grads = train.grads(theta).reshape(problem.n, problem.m)
+        grads = np.einsum("ic,ij->icj", train.probs(theta) - train.onehot,
+                          train.aug).reshape(problem.n, problem.m)
         v = rng.standard_normal(problem.m)
         for product, ref, data, weights in (
                 (problem.hess_yy_f, dense(train, theta, w) @ v, train, w),
@@ -282,6 +283,68 @@ def test_hyperclean_weight_gradient_formula():
     w = _sigmoid(x)
     np.testing.assert_allclose(p.grad_x_f(x, y), w * (1 - w) * losses,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("problem", [ALL_PROBLEMS[-1], _hc_problem(seed=1)],
+                         ids=["n8", "toy"])
+def test_hyperclean_gemm_gradients_match_per_sample_einsum(problem):
+    # reference: the per-sample (N, C, d+1) gradient tensor the GEMMs replace;
+    # rounding is relative to the summed terms sum_i w_i |g_i| (|v|)
+    md = problem.metadata
+    train, val = md["train"], md["val"]
+    C, d1 = md["config"].num_classes, md["config"].feature_dim + 1
+    rng = rng_stream(4)
+
+    def per_sample(data, theta):
+        return np.einsum("ic,ij->icj", data.probs(theta) - data.onehot,
+                         data.aug)
+
+    for _ in range(20):
+        x, y = _sample_xy(problem, rng, scale=2.0)
+        theta, w = y.reshape(C, d1), _sigmoid(x)
+        v = rng.standard_normal(problem.m)
+        g_train, g_val = per_sample(train, theta), per_sample(val, theta)
+        n_train = np.linalg.norm(g_train, axis=(1, 2))
+        n_val = np.linalg.norm(g_val, axis=(1, 2))
+        for got, ref, scale in (
+                (problem.grad_y_f(x, y),
+                 np.einsum("i,icj->cj", w, g_train).ravel(), np.dot(w, n_train)),
+                (problem.grad_y_F(x, y), g_val.sum(axis=0).ravel(), n_val.sum()),
+                (problem.hess_yx_f(x, y, v),
+                 w * (1.0 - w) * (g_train.reshape(problem.n, problem.m) @ v),
+                 np.dot(w * (1.0 - w), n_train) * np.linalg.norm(v))):
+            assert np.linalg.norm(got - ref) <= 1e-14 * scale
+
+
+_HC_ORACLES = ("F", "f", "grad_x_F", "grad_y_F", "grad_y_f", "grad_x_f",
+               "hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
+
+
+def test_hyperclean_oracles_match_a_fresh_problem_at_every_point():
+    # the per-point cache is keyed on values: revisiting a point, and arrays
+    # changed in place (same objects, new contents), give the bits of a
+    # problem that has never seen a point
+    cfg = HypercleanConfig(seed=1)
+    problem = make_hypercleaning(cfg)
+    rng = rng_stream(8)
+    (x1, y1), (x2, y2), (x3, y3) = (_sample_xy(problem, rng) for _ in range(3))
+    v = rng.standard_normal(problem.m)
+
+    def visit(x, y):
+        fresh = make_hypercleaning(cfg)
+        for name in _HC_ORACLES:
+            args = (x, y, v) if name.startswith("hess") else (x, y)
+            got = getattr(problem, name)(*args)
+            want = getattr(fresh, name)(*(a.copy() for a in args))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+    visit(x1, y1)
+    visit(x2, y2)
+    visit(x1, y1)
+    y1[:] = y3  # same array, new contents
+    visit(x1, y1)
+    x1[:] = x3
+    visit(x1, y1)
 
 
 def test_hyperclean_optional_ul_ridge():

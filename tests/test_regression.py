@@ -1,10 +1,11 @@
-"""Numeric regression record: every method on two small problems.
+"""Numeric regression record: every method on three small problems.
 
 For each case the stored reference holds the final x, the final ``phiK`` and
 ``grad_norm``, the resolved UL step, and every row of ``trace.csv`` and
 ``inner_trace.csv`` written by ``run_experiment`` with ``verbosity: "full"``.
-Refactors must reproduce them to rtol 1e-12.  The ``obda`` inner trace is not
-stored: it is checked against the warm-started inner state instead.
+Refactors must reproduce them to the problem's rtol (see ``RTOL``).  The
+``obda`` inner trace is not stored: it is checked against the warm-started
+inner state instead.
 
 Regenerate the reference after a deliberate numerical change with
 
@@ -23,12 +24,21 @@ from bda.outer import solve
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "regression_reference.json")
-RTOL = 1e-12
+# The hyperclean record was written when its gradients were per-sample
+# einsums.  The matrix products that replaced them sum in another order, so
+# its traces moved in their last bits: at most 2e-15 relative for bda, rhg
+# and trhg, 6e-14 for obda and 8e-13 for ihg, whose CG amplifies rounding.
+# 1e-10 leaves two orders of magnitude for other BLAS builds; a change of
+# formula moves these values far more.
+RTOL = {"remark1": 1e-12, "lls": 1e-12, "hyperclean": 1e-10}
 
+# problem and its schedule keys; the hyperclean steps sit under 1/L_F, 1/L_f
 PROBLEMS = {
     "remark1": {"problem": "remark1", "problem_params": {}},
     "lls": {"problem": "lls_quadratic",
             "problem_params": {"n": 2, "m": 3, "seed": 12}},
+    "hyperclean": {"problem": "hyperclean", "problem_params": {"seed": 1},
+                   "su": 0.004, "sl": 0.004},
 }
 METHOD_KEYS = {"bda": {}, "rhg": {}, "trhg": {"truncate_at": 2}, "ihg": {},
                "obda": {}}
@@ -39,10 +49,10 @@ CASES = [(p, m) for p in PROBLEMS for m in METHOD_KEYS]
 
 
 def _config(problem: str, method: str) -> dict:
-    cfg = {**PROBLEMS[problem], "method": method, "K": 5, "T_max": 12,
+    cfg = {"method": method, "K": 5, "T_max": 12,
            "mu": 0.1, "su": 0.1, "sl": 0.1, "alpha_rule": "harmonic",
            "beta_rule": "constant", "stop_tol": 1e-12, "seed": 0,
-           "verbosity": "full", **METHOD_KEYS[method]}
+           "verbosity": "full", **PROBLEMS[problem], **METHOD_KEYS[method]}
     cfg.update(OVERRIDES.get((problem, method), {}))
     return cfg
 
@@ -74,11 +84,11 @@ def _observe(problem: str, method: str, work_dir: str) -> dict:
     }
 
 
-def _assert_close(actual, expected, what):
+def _assert_close(actual, expected, rtol, what):
     a = np.array(actual, dtype=float)
     e = np.array(expected, dtype=float)
     assert a.shape == e.shape, f"{what}: shape {a.shape} != {e.shape}"
-    np.testing.assert_allclose(a, e, rtol=RTOL, atol=0.0, equal_nan=True,
+    np.testing.assert_allclose(a, e, rtol=rtol, atol=0.0, equal_nan=True,
                                err_msg=what)
 
 
@@ -94,10 +104,11 @@ def test_matches_reference(reference, tmp_path, problem, method):
     got = _observe(problem, method, str(tmp_path))
     assert got["status"] == expected["status"]
     for key in ("x_final", "phiK", "grad_norm", "resolved_lambda", "trace"):
-        _assert_close(got[key], expected[key], f"{problem}/{method} {key}")
+        _assert_close(got[key], expected[key], RTOL[problem],
+                      f"{problem}/{method} {key}")
     if method != "obda":
         _assert_close(got["inner_trace"], expected["inner_trace"],
-                      f"{problem}/{method} inner_trace")
+                      RTOL[problem], f"{problem}/{method} inner_trace")
 
 
 @pytest.mark.parametrize("problem", list(PROBLEMS))
