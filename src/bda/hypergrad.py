@@ -69,8 +69,10 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
     p = np.asarray(problem.grad_y_F(x, y_K), dtype=float)
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float).copy()
     kept = K if truncate_at is None else truncate_at
+    clamped = trace.proj_active.any(axis=1)
     for k in range(K - 1, K - kept - 1, -1):
-        q = np.where(trace.proj_active[k], 0.0, p)
+        # zeroing nothing would copy p: a step that clamped nothing uses it
+        q = np.where(trace.proj_active[k], 0.0, p) if clamped[k] else p
         yy, yx = _step_products(problem, x, trace.ys[k], mode,
                                 trace.alphas[k], trace.betas[k], sched)
         g -= yx(q)

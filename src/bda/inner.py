@@ -130,10 +130,16 @@ class InnerTrace:
     def K(self) -> int:
         return self.ys.shape[0] - 1
 
-    def validate(self) -> None:
-        for name in ("ys", "z_u", "z_l"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise NumericalError(f"InnerTrace.{name}: non-finite entries")
+
+def _step_error(k, gF, gf, pre=None) -> Exception:
+    """Why inner step k (None: a plain step) failed its check: the first
+    non-finite gradient, else the pre-projection point."""
+    where = "plain step" if k is None else f"inner step k={k}"
+    for name, v in (("grad_y_F", gF), ("grad_y_f", gf),
+                    ("pre-projection point", pre)):
+        if v is not None and not np.isfinite(v).all():
+            return NumericalError(f"{where}: {name} non-finite")
+    return ContractError(f"{where}: pre-projection point has shape {pre.shape}")
 
 
 def descent_directions(problem: BilevelProblem, x, y, k: int,
@@ -142,43 +148,47 @@ def descent_directions(problem: BilevelProblem, x, y, k: int,
     x, y = problem.check_point(x, y)
     gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
     gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
-    if not np.isfinite(gF).all():
-        raise NumericalError(f"grad_y_F non-finite at inner step k={k}")
-    if not np.isfinite(gf).all():
-        raise NumericalError(f"grad_y_f non-finite at inner step k={k}")
+    if not (np.isfinite(gF).all() and np.isfinite(gf).all()):
+        raise _step_error(k, gF, gf)
     return sched.s_u * gF, sched.s_l * gf
 
 
-def _aggregated_points(problem: BilevelProblem, x, y, k: int,
-                       sched: AggregationSchedule):
-    """(z_u, z_l, pre-projection point) of one aggregated step."""
-    dF, df = descent_directions(problem, x, y, k, sched)
-    z_u = y - sched.alpha(k) * dF
-    z_l = y - sched.beta(k) * df
-    return z_u, z_l, sched.mu * z_u + (1.0 - sched.mu) * z_l
+def _step(problem: BilevelProblem, x, y, k, s_l: float,
+          sched: AggregationSchedule | None = None,
+          alpha: float = 0.0, beta: float = 0.0):
+    """(y_next, z_u, z_l, pre) of inner step k from a checked (x, y): the
+    aggregated step of ``sched`` with weights alpha, beta, else the plain step
+    y - s_l grad_y f.  Its one check, of ``pre``, runs before the clamp, so a
+    non-finite gradient raises instead of being clamped into Y."""
+    if sched is None:
+        gF, gf = None, np.asarray(problem.grad_y_f(x, y), dtype=float)
+        z_u = y
+        z_l = pre = y - s_l * gf
+    else:
+        gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
+        gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
+        z_u = y - alpha * (sched.s_u * gF)
+        z_l = y - beta * (s_l * gf)
+        pre = sched.mu * z_u + (1.0 - sched.mu) * z_l
+    if pre.shape != y.shape or not np.isfinite(pre).all():
+        raise _step_error(k, gF, gf, pre)
+    return problem.region_y.clamp(pre), z_u, z_l, pre
 
 
 def aggregated_step(problem: BilevelProblem, x, y, k: int,
                     sched: AggregationSchedule):
     """One aggregated projected step; returns (y_next, z_u, z_l)."""
-    z_u, z_l, pre = _aggregated_points(problem, x, y, k, sched)
-    return problem.region_y.project(pre), z_u, z_l
-
-
-def _plain_point(problem: BilevelProblem, x, y, s_l: float):
-    """Pre-projection point y - s_l * grad_y f of one plain step."""
-    if s_l <= 0:
-        raise ContractError("plain_gd_step: s_l must be positive")
     x, y = problem.check_point(x, y)
-    gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
-    if not np.isfinite(gf).all():
-        raise NumericalError("grad_y_f non-finite in plain step")
-    return y - s_l * gf
+    return _step(problem, x, y, k, sched.s_l, sched, sched.alpha(k),
+                 sched.beta(k))[:3]
 
 
 def plain_gd_step(problem: BilevelProblem, x, y, s_l: float):
     """One projected gradient step on the lower-level objective only."""
-    return problem.region_y.project(_plain_point(problem, x, y, s_l))
+    if s_l <= 0:
+        raise ContractError("plain_gd_step: s_l must be positive")
+    x, y = problem.check_point(x, y)
+    return _step(problem, x, y, None, s_l)[0]
 
 
 def default_y0(problem: BilevelProblem) -> np.ndarray:
@@ -207,32 +217,20 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     ys = np.empty((K + 1, m))
     z_u = np.empty((K, m))
     z_l = np.empty((K, m))
-    alphas = np.empty(K)
-    betas = np.empty(K)
+    alphas = np.array([sched.alpha(k) for k in range(K)], dtype=float)
+    betas = np.array([sched.beta(k) for k in range(K)], dtype=float)
     proj_active = np.zeros((K, m), dtype=bool)
+    aggregated = sched if mode == "bda" else None
 
     ys[0] = y
     for k in range(K):
-        try:
-            if mode == "bda":
-                zu_k, zl_k, pre = _aggregated_points(problem, x, y, k, sched)
-            else:
-                zu_k = y
-                zl_k = pre = _plain_point(problem, x, y, sched.s_l)
-            y_next = problem.region_y.project(pre)
-        except NumericalError as err:
-            raise NumericalError(f"inner step k={k}: {err}") from err
+        y_next, z_u[k], z_l[k], pre = _step(problem, x, y, k, sched.s_l,
+                                            aggregated, alphas[k], betas[k])
         proj_active[k] = y_next != pre
-        ys[k + 1] = y_next
-        z_u[k] = zu_k
-        z_l[k] = zl_k
-        alphas[k] = sched.alpha(k)
-        betas[k] = sched.beta(k)
-        y = y_next
+        ys[k + 1] = y = y_next
 
     trace = InnerTrace(ys=ys, z_u=z_u, z_l=z_l, alphas=alphas, betas=betas,
                        proj_active=proj_active, mode=mode)
-    trace.validate()
     return y, trace
 
 

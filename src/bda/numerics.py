@@ -120,7 +120,11 @@ class BoxRegion:
         return float(np.linalg.norm(self.upper - self.lower))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        v = as_vector(v, dim=self.dim, name="point")
+        return self.clamp(as_vector(v, dim=self.dim, name="point"))
+
+    def clamp(self, v: np.ndarray) -> np.ndarray:
+        """``v`` clamped into the box, unchecked: the caller guarantees a
+        finite float vector of length ``dim``."""
         return np.minimum(np.maximum(v, self._floor), self._ceil)
 
     def active_mask(self, v: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bda.hypergrad import (hypergrad_forward, hypergrad_implicit,
                            hypergrad_onestage, hypergrad_reverse)
 from bda.inner import AggregationSchedule, run_inner
-from bda.numerics import (CapabilityError, ContractError, NumericalError,
-                          rng_stream)
+from bda.numerics import (BoxRegion, CapabilityError, ContractError,
+                          NumericalError, rng_stream)
 from bda.problems import (lls_quadratic, make_counterexample,
                           make_lls_quadratic, make_remark1)
 from bda.verify import fd_gradient
@@ -82,6 +84,22 @@ def test_reverse_equals_forward_on_random_quadratics(n, m, seed, K, mode):
     x = q.region_x.project(rng_stream(seed).standard_normal(n))
     gr = hypergrad_reverse(q, x, K, sched, mode=mode).gradient
     gf = hypergrad_forward(q, x, K, sched, mode=mode).gradient
+    assert np.linalg.norm(gr - gf) <= 1e-10 * max(np.linalg.norm(gr), 1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(n=st.integers(1, 4), m=st.integers(1, 6), seed=st.integers(0, 10_000),
+       K=st.integers(1, 15), mode=st.sampled_from(["bda", "plain"]))
+def test_reverse_equals_forward_through_clamping_box(n, m, seed, K, mode):
+    # steps that clamp zero rows of the Jacobian; the others skip the mask
+    q = dataclasses.replace(make_lls_quadratic(n, m, seed=seed),
+                            region_y=BoxRegion.cube(m, -0.3, 0.3))
+    s = 0.5 / max(q.L_F, q.L_f)
+    sched = AggregationSchedule(mu=0.3, s_u=s, s_l=s, alpha_rule="harmonic")
+    x = q.region_x.project(2.0 * rng_stream(seed).standard_normal(n))
+    gr = hypergrad_reverse(q, x, K, sched, mode=mode).gradient
+    gf = hypergrad_forward(q, x, K, sched, mode=mode,
+                           strict_projection=False).gradient
     assert np.linalg.norm(gr - gf) <= 1e-10 * max(np.linalg.norm(gr), 1e-12)
 
 

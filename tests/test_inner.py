@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bda.inner import (AggregationSchedule, aggregated_step,
                        descent_directions, inner_values, plain_gd_step,
                        run_inner)
-from bda.numerics import ContractError, NumericalError
+from bda.numerics import BoxRegion, ContractError, NumericalError, rng_stream
 from bda.problems import (make_counterexample, make_lls_quadratic,
                           make_remark1)
 from bda.verify import check_nonexpansive
@@ -268,3 +269,110 @@ def test_unbounded_region_run_stays_bounded_and_converges():
     gaps = inner_values(p, x, trace.ys)[0] - p.f_star_of_x(x)
     assert gaps[-1] <= 1e-6
     assert gaps[-1] <= gaps[40]
+
+
+# ---------------------------------------------------------------------------
+# run_inner against the public steps, and its one check per step
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(n=st.integers(1, 4), m=st.integers(1, 6), seed=st.integers(0, 10_000),
+       K=st.integers(1, 12), mode=st.sampled_from(["bda", "plain"]),
+       alpha=st.sampled_from([("harmonic", 1.0), ("scaled", 0.6),
+                              ("constant", 0.3)]),
+       beta=st.sampled_from([("constant", 1.0, 1.0),
+                             ("declining", 0.9, 0.3)]))
+def test_run_inner_equals_public_steps_on_clamping_box(n, m, seed, K, mode,
+                                                       alpha, beta):
+    q = dataclasses.replace(make_lls_quadratic(n, m, seed=seed),
+                            region_y=BoxRegion.cube(m, -0.3, 0.3))
+    s = 0.5 / max(q.L_F, q.L_f)
+    sched = AggregationSchedule(mu=0.3, s_u=s, s_l=s, alpha_rule=alpha[0],
+                                alpha_scale=alpha[1], beta_rule=beta[0],
+                                beta_start=beta[1], beta_lower=beta[2])
+    rng = rng_stream(seed)
+    x = q.region_x.project(2.0 * rng.standard_normal(n))
+    y0 = rng.standard_normal(m)
+    _, trace = run_inner(q, x, K, sched, mode=mode, y0=y0)
+
+    y = q.region_y.project(y0)
+    np.testing.assert_array_equal(trace.ys[0], y)
+    for k in range(K):
+        if mode == "bda":
+            y_next, z_u, z_l = aggregated_step(q, x, y, k, sched)
+            pre = sched.mu * z_u + (1.0 - sched.mu) * z_l
+        else:
+            y_next = plain_gd_step(q, x, y, sched.s_l)
+            z_u, z_l = y, y - sched.s_l * np.asarray(q.grad_y_f(x, y))
+            pre = z_l
+        np.testing.assert_array_equal(trace.z_u[k], z_u)
+        np.testing.assert_array_equal(trace.z_l[k], z_l)
+        np.testing.assert_array_equal(trace.proj_active[k], y_next != pre)
+        np.testing.assert_array_equal(trace.ys[k + 1], y_next)
+        y = y_next
+
+
+def _inf_from_third_call(fn):
+    """``fn`` with an inf in its first entry from its third call on."""
+    calls = []
+
+    def broken(x, y):
+        calls.append(1)
+        g = np.array(fn(x, y), dtype=float)
+        if len(calls) >= 3:
+            g[0] = np.inf
+        return g
+    return broken
+
+
+@pytest.mark.parametrize("oracle,mode", [("grad_y_F", "bda"),
+                                         ("grad_y_f", "bda"),
+                                         ("grad_y_f", "plain")])
+def test_non_finite_gradient_mid_run_raises_before_any_clamp(oracle, mode):
+    base = make_counterexample(3, y_radius=0.5)
+    clamped = []
+
+    class Watched(BoxRegion):
+        # records every point the box is asked to clamp
+        def project(self, v):
+            clamped.append(np.array(v, dtype=float))
+            return super().project(v)
+
+        def clamp(self, v):
+            clamped.append(np.array(v, dtype=float))
+            return super().clamp(v)
+
+    box = base.region_y
+    p = dataclasses.replace(
+        base, region_y=Watched(box.lower, box.upper, box.lower_free,
+                               box.upper_free),
+        **{oracle: _inf_from_third_call(getattr(base, oracle))})
+    sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.9)
+    x = 3.0 * np.ones(3)
+    # the box binds on the steps that come before the broken one
+    _, healthy = run_inner(base, x, 2, sched, mode=mode)
+    assert healthy.proj_active.any(axis=1).all()
+    with pytest.raises(NumericalError,
+                       match=rf"inner step k=2\b.*{oracle} non-finite"):
+        run_inner(p, x, 10, sched, mode=mode)
+    # y0 and the two healthy steps were clamped (project may clamp through
+    # clamp, so a point can show twice), and no non-finite point ever was
+    assert len(clamped) >= 3
+    assert all(np.isfinite(v).all() for v in clamped)
+
+
+def test_inner_error_names_the_step_and_the_oracle_once():
+    base = make_counterexample(3, y_radius=0.5)
+    p = dataclasses.replace(base,
+                            grad_y_F=_inf_from_third_call(base.grad_y_F))
+    with pytest.raises(NumericalError) as err:
+        run_inner(p, np.ones(3), 10, AggregationSchedule(), mode="bda")
+    assert str(err.value) == "inner step k=2: grad_y_F non-finite"
+    p = dataclasses.replace(base, grad_y_f=lambda x, y: np.full(6, np.nan))
+    with pytest.raises(NumericalError, match="^plain step: grad_y_f non-finite$"):
+        plain_gd_step(p, np.ones(3), np.zeros(6), 0.1)
+    # a gradient of the wrong shape broadcasts into a wrong-shaped point
+    p = dataclasses.replace(base, grad_y_f=lambda x, y: np.zeros((6, 1)))
+    with pytest.raises(ContractError,
+                       match=r"^inner step k=0: pre-projection point has shape"):
+        run_inner(p, np.ones(3), 10, AggregationSchedule(), mode="plain")
