@@ -9,13 +9,13 @@ bound, and hypergradient consistency numerically.
 import importlib
 
 from .numerics import (BoxRegion, CapabilityError, ContractError,
-                       NumericalError, as_matrix, as_vector, rng_stream)
+                       NumericalError, as_vector, rng_stream)
 from .problems import (BilevelProblem, HypercleanConfig, lls_quadratic,
                        make_counterexample, make_hypercleaning,
                        make_lls_quadratic, make_problem, make_remark1,
                        make_remark1_regularized, remark1_plain_descent_limit)
 from .inner import (AggregationSchedule, InnerTrace, aggregated_step,
-                    default_y0, descent_directions, plain_gd_step, run_inner)
+                    default_y0, plain_gd_step, run_inner)
 from .hypergrad import (HypergradResult, hypergrad_forward, hypergrad_implicit,
                         hypergrad_onestage, hypergrad_reverse)
 from .outer import METHODS, RunRecord, SolverConfig, outer_step, solve
@@ -25,13 +25,13 @@ __all__ = [
     "AggregationSchedule", "BilevelProblem", "BoxRegion", "CapabilityError",
     "ContractError", "HypercleanConfig", "HypergradResult", "InnerTrace",
     "METHODS", "NumericalError", "RunRecord", "SolverConfig",
-    "aggregated_step", "as_matrix", "as_vector", "default_y0",
-    "descent_directions", "harness", "hypergrad_forward", "hypergrad_implicit",
-    "hypergrad_onestage", "hypergrad_reverse", "lls_quadratic",
-    "make_counterexample", "make_hypercleaning", "make_lls_quadratic",
-    "make_problem", "make_remark1", "make_remark1_regularized", "outer_step",
-    "plain_gd_step", "remark1_plain_descent_limit",
-    "rng_stream", "run_inner", "solve", "verify",
+    "aggregated_step", "as_vector", "default_y0", "harness",
+    "hypergrad_forward", "hypergrad_implicit", "hypergrad_onestage",
+    "hypergrad_reverse", "lls_quadratic", "make_counterexample",
+    "make_hypercleaning", "make_lls_quadratic", "make_problem", "make_remark1",
+    "make_remark1_regularized", "outer_step", "plain_gd_step",
+    "remark1_plain_descent_limit", "rng_stream", "run_inner", "solve",
+    "verify",
 ]
 
 __version__ = "0.1.0"

@@ -83,6 +83,15 @@ def _sched_from_keys(raw: dict) -> AggregationSchedule:
     )
 
 
+def _pop_int(raw: dict, key: str, default):
+    """Pop ``key``: a JSON integer (not a float or bool that ``int()`` would
+    misread), or null where ``default`` is null."""
+    value = raw.pop(key, default)
+    if type(value) is not int and not (value is None and default is None):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a JSON experiment config; unknown keys are errors."""
     try:
@@ -96,25 +105,30 @@ def load_config(path: str) -> ExperimentConfig:
         lam = raw.pop("lambda", None)
         solver = SolverConfig(
             method=raw.pop("method", "bda"),
-            K=int(raw.pop("K", 20)),
-            truncate_at=raw.pop("truncate_at", None),
+            K=_pop_int(raw, "K", 20),
+            truncate_at=_pop_int(raw, "truncate_at", None),
             lam=float(lam) if lam is not None else None,
-            T_max=int(raw.pop("T_max", 1000)),
+            T_max=_pop_int(raw, "T_max", 1000),
             stop_tol=float(raw.pop("stop_tol", 1e-8)),
             sched=sched,
-            seed=int(raw.pop("seed", 0)),
+            seed=_pop_int(raw, "seed", 0),
         )
-        repeats = int(raw.pop("repeats", 1))
+        repeats = _pop_int(raw, "repeats", 1)
         seeds = raw.pop("seeds", None)
         if seeds is None:
             seeds = [solver.seed + i for i in range(repeats)]
+        elif type(seeds) is not list or any(type(s) is not int for s in seeds):
+            raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+        verbosity = raw.pop("verbosity", "summary")
+        if verbosity not in ("summary", "full"):
+            raise ConfigError(f"verbosity {verbosity!r} is not summary or full")
         exp = ExperimentConfig(
             problem_name=raw.pop("problem"),
             problem_params=dict(raw.pop("problem_params", {})),
             solver=solver,
             out_dir=raw.pop("out", "."),
-            verbosity=raw.pop("verbosity", "summary"),
-            seeds=[int(s) for s in seeds],
+            verbosity=verbosity,
+            seeds=seeds,
             x0=raw.pop("x0", None),
         )
         if raw:
@@ -433,16 +447,15 @@ def default_hyperclean_solver(problem: BilevelProblem, method: str,
                 stop_tol=1e-7)
     if method == "trhg":
         base["truncate_at"] = 20
-    if method == "obda":  # SolverConfig fixes K = 1
-        base["T_max"] = 2000
+    if method == "obda":  # one inner step, carried across outer iterations
+        base.update(K=1, T_max=2000)
     if method == "ihg":
         base["cg_tol"] = 1e-8
         base["cg_max_iter"] = 400
     return SolverConfig(method=method, **base)
 
 
-def suite_hyperclean(cfg: HypercleanConfig, methods, out: str,
-                     dump_dataset: bool = True) -> dict:
+def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
     methods = list(methods)
     bad = [m for m in methods if m not in METHODS]
     if bad:
@@ -450,11 +463,10 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str,
     os.makedirs(out, exist_ok=True)
     problem = make_hypercleaning(cfg)
 
-    if dump_dataset:
-        _write_csv(os.path.join(out, "dataset.csv"),
-                   ["split", "index", "label", "corrupted_flag",
-                    *[f"feature_{j}" for j in range(cfg.feature_dim)]],
-                   hyperclean_dataset_rows(problem))
+    _write_csv(os.path.join(out, "dataset.csv"),
+               ["split", "index", "label", "corrupted_flag",
+                *[f"feature_{j}" for j in range(cfg.feature_dim)]],
+               hyperclean_dataset_rows(problem))
 
     base_sched = default_hyperclean_solver(problem, "bda").sched
     results = [hyperclean_baseline(problem, K=40, sched=base_sched)]

@@ -21,7 +21,6 @@ from .problems import BilevelProblem, product_rows
 @dataclass
 class HypergradResult:
     gradient: np.ndarray
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -80,20 +79,16 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
     if not np.isfinite(g).all():
         raise NumericalError("reverse hypergradient is non-finite")
     return HypergradResult(
-        gradient=g, method="reverse",
-        diagnostics={"iterations": K, "truncate_at": kept, "mode": mode,
-                     "projection_hit": bool(trace.proj_active.any()),
-                     "y_final": y_K, "trace": trace})
+        gradient=g, diagnostics={"truncate_at": kept, "trace": trace})
 
 
 def hypergrad_forward(problem: BilevelProblem, x, K: int,
                       sched: AggregationSchedule, mode: str = "bda",
-                      strict_projection: bool = True,
-                      y0=None) -> HypergradResult:
+                      strict_projection: bool = True) -> HypergradResult:
     """Forward propagation of the iterate Jacobian d y_k / d x."""
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     x = as_vector(x, dim=problem.n, name="x")
-    y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
+    y_K, trace = run_inner(problem, x, K, sched, mode=mode)
     if strict_projection and trace.proj_active.any():
         raise CapabilityError(
             "projection became active along the trajectory; rerun with "
@@ -112,9 +107,8 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
     if not np.isfinite(g).all():
         raise NumericalError("forward hypergradient is non-finite")
     return HypergradResult(
-        gradient=g, method="forward",
-        diagnostics={"iterations": K, "mode": mode,
-                     "projection_hit": bool(trace.proj_active.any())})
+        gradient=g,
+        diagnostics={"projection_hit": bool(trace.proj_active.any())})
 
 
 def _conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int):
@@ -163,12 +157,13 @@ def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
     if not np.isfinite(g).all():
         raise NumericalError("implicit hypergradient is non-finite")
     return HypergradResult(
-        gradient=g, method="implicit",
+        gradient=g,
         diagnostics={"cg_residual": residual, "cg_iterations": iters})
 
 
 def hypergrad_onestage(problem: BilevelProblem, x, y0,
-                       sched: AggregationSchedule, eps: float) -> HypergradResult:
+                       sched: AggregationSchedule,
+                       eps: float = 1e-4) -> HypergradResult:
     """Single aggregated step followed by a finite-difference correction.
 
     The step uses the combined objective alpha*F + beta*f with the
@@ -231,6 +226,4 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
     if not np.isfinite(g).all():
         raise NumericalError("one-stage hypergradient is non-finite")
     return HypergradResult(
-        gradient=g, method="onestage",
-        diagnostics={"branch": branch, "eps": eps, "alpha": alpha,
-                     "beta": beta, "step": s, "y1": y1})
+        gradient=g, diagnostics={"branch": branch, "y1": y1})

@@ -36,8 +36,7 @@ class AggregationSchedule:
       constant  -> beta_start (= beta_lower)
       declining -> beta_lower + (beta_start - beta_lower) / (k + 1)
 
-    mu = 0 is allowed only as a diagnostic that reduces the step to the plain
-    scheme; solver configurations insist on mu in (0, 1).
+    mu must lie in (0, 1), the range the convergence analysis assumes.
     """
 
     mu: float = 0.1
@@ -54,8 +53,8 @@ class AggregationSchedule:
             raise ContractError(f"unknown alpha_rule '{self.alpha_rule}'")
         if self.beta_rule not in _BETA_RULES:
             raise ContractError(f"unknown beta_rule '{self.beta_rule}'")
-        if not (0.0 <= self.mu < 1.0):
-            raise ContractError("mu must lie in [0, 1); (0,1) outside diagnostics")
+        if not (0.0 < self.mu < 1.0):
+            raise ContractError(f"mu={self.mu} must lie in (0, 1)")
         if self.s_u <= 0 or self.s_l <= 0:
             raise ContractError("step sizes s_u, s_l must be positive")
         if self.alpha_rule != "zero" and not (0.0 < self.alpha_scale <= 1.0):
@@ -87,24 +86,14 @@ class AggregationSchedule:
         # |beta_k - beta_{k-1}| = (beta_start - beta_lower) / (k (k+1))
         return 2.0 * (self.beta_start - self.beta_lower)
 
-    @property
-    def alpha_tends_to_zero(self) -> bool:
-        return self.alpha_rule in ("harmonic", "scaled", "zero")
-
-    @property
-    def alpha_sum_diverges(self) -> bool:
-        return self.alpha_rule in ("harmonic", "scaled", "constant")
-
     def breaches(self, L_F: float | None, L_f: float | None) -> list[str]:
-        """The hypotheses s_u < 1/L_F, s_l < 1/L_f and mu in (0, 1) that this
-        schedule breaks under the given smoothness constants (None skips one)."""
+        """The hypotheses s_u < 1/L_F and s_l < 1/L_f that this schedule
+        breaks under the given smoothness constants (None skips one)."""
         out = []
         if L_F is not None and not self.s_u < 1.0 / L_F:
             out.append(f"s_u={self.s_u} is not below 1/L_F={1.0 / L_F:.3g}")
         if L_f is not None and not self.s_l < 1.0 / L_f:
             out.append(f"s_l={self.s_l} is not below 1/L_f={1.0 / L_f:.3g}")
-        if not 0.0 < self.mu < 1.0:
-            out.append(f"mu={self.mu} is outside (0, 1)")
         return out
 
     def require_admissible(self, problem: BilevelProblem) -> None:
@@ -124,14 +113,13 @@ class InnerTrace:
     alphas: np.ndarray        # (K,)
     betas: np.ndarray         # (K,)
     proj_active: np.ndarray   # (K, m) bool, per-coordinate clamping
-    mode: str = "bda"
 
     @property
     def K(self) -> int:
         return self.ys.shape[0] - 1
 
 
-def _step_error(k, gF, gf, pre=None) -> Exception:
+def _step_error(k, gF, gf, pre) -> Exception:
     """Why inner step k (None: a plain step) failed its check: the first
     non-finite gradient, else the pre-projection point."""
     where = "plain step" if k is None else f"inner step k={k}"
@@ -140,17 +128,6 @@ def _step_error(k, gF, gf, pre=None) -> Exception:
         if v is not None and not np.isfinite(v).all():
             return NumericalError(f"{where}: {name} non-finite")
     return ContractError(f"{where}: pre-projection point has shape {pre.shape}")
-
-
-def descent_directions(problem: BilevelProblem, x, y, k: int,
-                       sched: AggregationSchedule):
-    """Scaled descent directions (s_u * grad_y F, s_l * grad_y f) at (x, y)."""
-    x, y = problem.check_point(x, y)
-    gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
-    gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
-    if not (np.isfinite(gF).all() and np.isfinite(gf).all()):
-        raise _step_error(k, gF, gf)
-    return sched.s_u * gF, sched.s_l * gf
 
 
 def _step(problem: BilevelProblem, x, y, k, s_l: float,
@@ -230,7 +207,7 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
         ys[k + 1] = y = y_next
 
     trace = InnerTrace(ys=ys, z_u=z_u, z_l=z_l, alphas=alphas, betas=betas,
-                       proj_active=proj_active, mode=mode)
+                       proj_active=proj_active)
     return y, trace
 
 

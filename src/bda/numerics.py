@@ -1,4 +1,4 @@
-"""Dense vector/matrix validation, box regions, and seeded RNG streams.
+"""Dense vector validation, box regions, and seeded RNG streams.
 
 Every other module goes through these helpers so that non-finite values are
 rejected at module boundaries and box projections behave identically
@@ -25,28 +25,16 @@ class NumericalError(ArithmeticError):
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a finite 1-D float64 array."""
-    arr = np.asarray(v, dtype=float)
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ContractError(f"{name}: not an array of floats ({err})") from None
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ContractError(f"{name}: expected a 1-D array, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ContractError(f"{name}: expected dimension {dim}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{name}: non-finite entries")
-    return arr
-
-
-def as_matrix(m, rows: int | None = None, cols: int | None = None,
-              name: str = "matrix") -> np.ndarray:
-    """Validate and return ``m`` as a finite 2-D float64 array."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ContractError(f"{name}: expected a 2-D array, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ContractError(f"{name}: expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ContractError(f"{name}: expected {cols} cols, got {arr.shape[1]}")
     if not np.isfinite(arr).all():
         raise NumericalError(f"{name}: non-finite entries")
     return arr
@@ -109,10 +97,6 @@ class BoxRegion:
     @property
     def is_bounded(self) -> bool:
         return not (self.lower_free.any() or self.upper_free.any())
-
-    @property
-    def is_whole_space(self) -> bool:
-        return bool(self.lower_free.all() and self.upper_free.all())
 
     def diameter(self) -> float:
         if not self.is_bounded:

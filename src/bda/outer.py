@@ -47,7 +47,6 @@ class SolverConfig:
     seed: int = 0
     cg_tol: float = 1e-10
     cg_max_iter: int | None = None
-    onestage_eps: float = 1e-4
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -57,9 +56,8 @@ class SolverConfig:
         if self.K < 1:
             raise ContractError("K must be >= 1")
         if self.method == "obda" and self.K != 1:
-            object.__setattr__(self, "K", 1)
-        if self.method == "bda" and not (0.0 < self.sched.mu < 1.0):
-            raise ContractError("bda requires mu in (0, 1)")
+            raise ContractError(f"obda takes one inner step: K must be 1, "
+                                f"got K={self.K}")
         if (self.method == "trhg") != (self.truncate_at is not None):
             raise ContractError("trhg requires truncate_at; no other method "
                                 "takes it")
@@ -80,7 +78,6 @@ class RunRecord:
     status: str                    # 'converged' | 'max-iters' | 'aborted'
     resolved_lambda: float | None  # None when the default-step probes failed
     wall_time_s: float
-    final_grad_norm: float
     y_final: np.ndarray
     config: dict
     error: str | None = None
@@ -112,7 +109,7 @@ def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
     No f or F value is evaluated."""
     method = METHODS[cfg.method]
     if method.route == "onestage":  # one aggregated step from the carried y0
-        res = hypergrad_onestage(problem, x, y0, cfg.sched, cfg.onestage_eps)
+        res = hypergrad_onestage(problem, x, y0, cfg.sched)
         return (res.gradient, (y0, res.diagnostics["y1"]),
                 [res.diagnostics["branch"] == "projected"])
     if method.route == "reverse":
@@ -218,12 +215,10 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
 
     metrics = {name: np.asarray(vals, dtype=float)
                for name, vals in columns.items()}
-    final_grad = metrics["grad_norm"][-1] if metrics["grad_norm"].size else np.nan
     return RunRecord(
         problem=problem.name, method=cfg.method,
         xs=np.asarray(xs), metrics=metrics, status=status,
         resolved_lambda=lam, wall_time_s=wall,
-        final_grad_norm=float(final_grad),
         y_final=np.asarray(y_K), config=config_dict(cfg, lam),
         error=error_msg, error_class=error_class, inner_rows=inner_rows)
 

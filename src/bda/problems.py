@@ -53,7 +53,6 @@ class BilevelProblem:
     hess_yx_F: Optional[ProdFn] = None
     L_F: Optional[float] = None
     L_f: Optional[float] = None
-    sigma: Optional[float] = None
     F_lower_bound: Optional[float] = None
     # a point of the lower-level solution set S(x); the UL-optimal one when known
     y_star_of_x: Optional[Callable[[Array], Array]] = None
@@ -181,7 +180,7 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
         hess_yy_F=hess_yy_F, hess_yx_F=hess_yx_F,
         L_F=None,  # quartic UL: no global Lipschitz gradient constant
-        L_f=1.0, sigma=None, F_lower_bound=0.0,
+        L_f=1.0, F_lower_bound=0.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=e.copy(), y_opt=np.concatenate([e, e]),
@@ -249,7 +248,7 @@ def make_remark1() -> BilevelProblem:
         grad_x_f=grad_x_f,
         hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
         hess_yy_F=hess_yy_F, hess_yx_F=hess_yx_F,
-        L_F=1.0, L_f=1.0, sigma=None, F_lower_bound=0.0,
+        L_F=1.0, L_f=1.0, F_lower_bound=0.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=np.array([1.0]), y_opt=np.array([1.0, 1.0]),
@@ -306,7 +305,7 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
         grad_x_f=base.grad_x_f,
         hess_yy_f=hess_yy_f, hess_yx_f=base.hess_yx_f,
         hess_yy_F=base.hess_yy_F, hess_yx_F=base.hess_yx_F,
-        L_F=1.0, L_f=1.0, sigma=epsilon, F_lower_bound=0.0,
+        L_F=1.0, L_f=1.0, F_lower_bound=0.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=np.array([0.5]), y_opt=np.array([0.5, 0.0]),
@@ -338,7 +337,6 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
     eigvals = np.linalg.eigvalsh(A)
     if eigvals[0] <= 0:
         raise ContractError("lls_quadratic: A must be positive definite")
-    sigma = float(eigvals[0])
     L_f = float(eigvals[-1])
     M = np.linalg.solve(A, B)  # dy*/dx
     # global x minimizer of phi(x) = ||Mx - b||^2/2 + rho ||x||^2/2
@@ -401,11 +399,11 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         grad_x_f=grad_x_f,
         hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
         hess_yy_F=hess_yy_F, hess_yx_F=hess_yx_F,
-        L_F=1.0, L_f=L_f, sigma=sigma, F_lower_bound=0.0,
+        L_F=1.0, L_f=L_f, F_lower_bound=0.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=x_opt, y_opt=M @ x_opt,
-        metadata={"A": A, "B": B, "b": b, "rho": rho, "dy_star_dx": M},
+        metadata={"A": A},
     )
 
 
@@ -493,7 +491,6 @@ class _SoftmaxData:
         self.aug = np.hstack([features, np.ones((count, 1))])  # bias column
         self.onehot = np.zeros((count, num_classes))
         self.onehot[np.arange(count), self.labels] = 1.0
-        self.num_classes = num_classes
 
     def logits(self, theta: Array) -> Array:
         return self.aug @ theta.T
@@ -536,8 +533,7 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     sample i being sigmoid(x_i).  UL: cross-entropy over the validation
     split, plus an optional ridge ul_ridge/2 * |x|^2 (zero by default).
     A ``corruption_fraction`` of training labels is reassigned to wrong
-    classes; the true labels and corrupted indices are kept in ``metadata``
-    for scoring.
+    classes; the corrupted mask is kept in ``metadata`` for scoring.
     """
     rng = rng_stream(cfg.seed)
     C, d = cfg.num_classes, cfg.feature_dim
@@ -557,7 +553,6 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     tr = slice(0, cfg.n_train)
     va = slice(cfg.n_train, cfg.n_train + cfg.n_val)
     te = slice(cfg.n_train + cfg.n_val, total)
-    true_train_labels = labels[tr].copy()
     train_labels = labels[tr].copy()
     n_corrupt = int(round(cfg.corruption_fraction * cfg.n_train))
     corrupt_idx = rng.choice(cfg.n_train, size=n_corrupt, replace=False)
@@ -632,19 +627,15 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         grad_x_f=grad_x_f,
         hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
         hess_yy_F=hess_yy_F, hess_yx_F=hess_yx_F,
-        L_F=L_F, L_f=L_f, sigma=None, F_lower_bound=0.0,
-        metadata={
-            "config": cfg,
-            "train": train, "val": val, "test": test,
-            "corrupted_mask": corrupted_mask,
-            "true_train_labels": true_train_labels,
-        },
+        L_F=L_F, L_f=L_f, F_lower_bound=0.0,
+        metadata={"config": cfg, "train": train, "val": val, "test": test,
+                  "corrupted_mask": corrupted_mask},
     )
 
 
 def hyperclean_dataset_rows(problem: BilevelProblem):
     """Rows (split, index, label, corrupted_flag, feature_0..feature_{d-1})
-    for the optional CSV dump."""
+    of the ``dataset.csv`` the hyper-cleaning suite writes."""
     md = problem.metadata
     rows = []
     for split_name, data in (("train", md["train"]), ("val", md["val"]),

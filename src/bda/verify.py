@@ -184,12 +184,11 @@ def _sample_points(problem: BilevelProblem, rng, count: int):
 
 
 def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
-                           sample_density: int = 200, x=None,
-                           seed: int = 0) -> RateConstants:
+                           x=None) -> RateConstants:
     """Over-estimated suprema and the explicit constants of the complexity bound.
 
-    D is the diameter of Y and M_F, M_f (and the smoothness constants when
-    the problem does not declare them) are suprema over samples of X x Y, all
+    D is the diameter of Y; M_F, M_f (and the smoothness constants the problem
+    does not declare) are suprema over 200 samples of X x Y from seed 0, all
     inflated by 5% so the resulting constants remain valid over-estimates.
     The value-function term is evaluated at ``x`` when given, otherwise at
     the sampled supremum.
@@ -197,11 +196,11 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
     if not (problem.region_x.is_bounded and problem.region_y.is_bounded):
         raise CapabilityError("rate constants need compact X and Y")
     problem.require("F_lower_bound", "phi_star_of_x")
-    rng = rng_stream(seed)
+    rng = rng_stream(0)
     infl = TOLERANCES.sup_inflation
 
     D = problem.region_y.diameter() * infl  # the exact box diagonal, inflated
-    xs, ys = _sample_points(problem, rng, sample_density)
+    xs, ys = _sample_points(problem, rng, 200)
     gF = [np.linalg.norm(problem.grad_y_F(xi, yi)) for xi, yi in zip(xs, ys)]
     gf = [np.linalg.norm(problem.grad_y_f(xi, yi)) for xi, yi in zip(xs, ys)]
     M_F = _sampled_sup(gF, infl)
@@ -261,9 +260,8 @@ class CheckReport:
 
 
 def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
-                     k_max: int, constants: RateConstants | None = None,
-                     sample_density: int = 200, seed: int = 0,
-                     y0=None) -> CheckReport:
+                     k_max: int,
+                     constants: RateConstants | None = None) -> CheckReport:
     """Evaluate both displayed complexity inequalities for k in [2, k_max].
 
     The distance inequality bounds |y_k - z^l_{k+1}|^2 and the value
@@ -278,10 +276,10 @@ def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
     problem.require("f_star_of_x")
     x = as_vector(x, dim=problem.n, name="x")
     rc = constants if constants is not None else compute_rate_constants(
-        problem, sched, sample_density=sample_density, x=x, seed=seed)
+        problem, sched, x=x)
 
     # need z^l_{k+1} up to k = k_max, i.e. k_max + 1 inner steps
-    _, trace = run_inner(problem, x, k_max + 1, sched, mode="bda", y0=y0)
+    _, trace = run_inner(problem, x, k_max + 1, sched, mode="bda")
     f_star = float(problem.f_star_of_x(x))
     total = 2.0 * rc.C2 + rc.C3
     violations = []

