@@ -23,15 +23,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .inner import AggregationSchedule, run_inner
 from .numerics import (CapabilityError, ContractError, NumericalError,
-                       rng_stream)
-from .outer import (METHODS, METRIC_COLUMNS, RunRecord, SolverConfig,
-                    config_dict, solve)
+                       rng_stream, typed_value)
+from .outer import (METHODS, METRIC_COLUMNS, SCHED_KEYS, SOLVER_KEYS,
+                    RunRecord, SolverConfig, config_dict, solve)
 from .problems import (BilevelProblem, HypercleanConfig, _sigmoid,
                        hyperclean_dataset_rows, make_counterexample,
                        make_hypercleaning, make_lls_quadratic, make_problem,
@@ -69,27 +69,12 @@ class ExperimentConfig:
         return make_problem(self.problem_name, **self.problem_params)
 
 
-def _sched_from_keys(raw: dict) -> AggregationSchedule:
-    beta_value = raw.pop("beta_value", 1.0)  # sets beta_start and beta_lower
-    return AggregationSchedule(
-        mu=float(raw.pop("mu", 0.1)),
-        s_u=float(raw.pop("su", 0.1)),
-        s_l=float(raw.pop("sl", 0.1)),
-        alpha_rule=raw.pop("alpha_rule", "harmonic"),
-        alpha_scale=float(raw.pop("alpha_scale", 1.0)),
-        beta_rule=raw.pop("beta_rule", "constant"),
-        beta_start=float(raw.pop("beta_start", beta_value)),
-        beta_lower=float(raw.pop("beta_lower", beta_value)),
-    )
-
-
-def _pop_int(raw: dict, key: str, default):
-    """Pop ``key``: a JSON integer (not a float or bool that ``int()`` would
-    misread), or null where ``default`` is null."""
-    value = raw.pop(key, default)
-    if type(value) is not int and not (value is None and default is None):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _pop_fields(raw: dict, keys: dict, cls) -> dict:
+    """Pop the ``keys`` present in ``raw`` as typed fields of ``cls``; null
+    only where the field's default is None.  Absent keys keep the defaults."""
+    nullable = {f.name for f in fields(cls) if f.default is None}
+    return {name: typed_value(key, raw.pop(key), kind, name in nullable)
+            for key, (name, kind) in keys.items() if key in raw}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -101,19 +86,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         raw = dict(raw)  # each key is popped as it is read; leftovers are unknown
-        sched = _sched_from_keys(raw)
-        lam = raw.pop("lambda", None)
-        solver = SolverConfig(
-            method=raw.pop("method", "bda"),
-            K=_pop_int(raw, "K", 20),
-            truncate_at=_pop_int(raw, "truncate_at", None),
-            lam=float(lam) if lam is not None else None,
-            T_max=_pop_int(raw, "T_max", 1000),
-            stop_tol=float(raw.pop("stop_tol", 1e-8)),
-            sched=sched,
-            seed=_pop_int(raw, "seed", 0),
-        )
-        repeats = _pop_int(raw, "repeats", 1)
+        sched = AggregationSchedule(
+            **_pop_fields(raw, SCHED_KEYS, AggregationSchedule))
+        solver = SolverConfig(sched=sched,
+                              **_pop_fields(raw, SOLVER_KEYS, SolverConfig))
+        repeats = typed_value("repeats", raw.pop("repeats", 1), int)
         seeds = raw.pop("seeds", None)
         if seeds is None:
             seeds = [solver.seed + i for i in range(repeats)]
@@ -241,7 +218,7 @@ def summarize_record(record: RunRecord, problem: BilevelProblem) -> dict:
         "iterations": int(len(metrics["phiK"])),
         "final": final,
         "final_grad_norm": final["grad_norm"],  # null, not NaN, when T = 0
-        "resolved_lambda": record.resolved_lambda,
+        "resolved_lambda": record.config["lambda"],
         "wall_time_s": record.wall_time_s,
         "error": record.error,
         "error_class": record.error_class,
@@ -304,7 +281,7 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     os.makedirs(out, exist_ok=True)
     problem = make_counterexample(n)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                                alpha_rule="scaled", alpha_scale=0.5)
+                                alpha_rule="harmonic", alpha_scale=0.5)
 
     def cfg_for(method: str, **kw) -> SolverConfig:
         base = dict(method=method, K=K,
@@ -371,9 +348,9 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
 
         # alpha-rule sweep (zero / constant / adaptive), heavier UL mixing
         alpha_results = {}
-        for label, rule, scale in (("alpha_zero", "zero", 1.0),
+        for label, rule, scale in (("alpha_zero", "constant", 0.0),
                                    ("alpha_const_0.5", "constant", 0.5),
-                                   ("alpha_adaptive_0.5_over_k", "scaled", 0.5)):
+                                   ("alpha_adaptive_0.5_over_k", "harmonic", 0.5)):
             sched_a = AggregationSchedule(mu=0.5, s_u=0.1, s_l=0.1,
                                           alpha_rule=rule, alpha_scale=scale)
             record = solve(problem, cfg_for("bda", sched=sched_a))

@@ -19,8 +19,7 @@ import numpy as np
 from .numerics import ContractError, NumericalError, as_vector
 from .problems import BilevelProblem
 
-_ALPHA_RULES = ("harmonic", "scaled", "constant", "zero")
-_BETA_RULES = ("constant", "declining")
+_ALPHA_RULES = ("harmonic", "constant")
 
 
 @dataclass(frozen=True)
@@ -28,13 +27,10 @@ class AggregationSchedule:
     """Aggregation weights and step sizes for the inner dynamics.
 
     alpha rules (k is the 0-based step index):
-      harmonic  -> 1 / (k + 1)
-      scaled    -> alpha_scale / (k + 1)   (first step uses alpha_scale)
-      constant  -> alpha_scale
-      zero      -> 0                        (diagnostic: drops the UL term)
-    beta rules:
-      constant  -> beta_start (= beta_lower)
-      declining -> beta_lower + (beta_start - beta_lower) / (k + 1)
+      harmonic  -> alpha_scale / (k + 1)
+      constant  -> alpha_scale            (0 drops the UL term)
+    beta_k = beta_lower + (beta_start - beta_lower) / (k + 1), which is
+    constant when beta_start == beta_lower.
 
     mu must lie in (0, 1), the range the convergence analysis assumes.
     """
@@ -44,45 +40,32 @@ class AggregationSchedule:
     s_l: float = 0.1
     alpha_rule: str = "harmonic"
     alpha_scale: float = 1.0
-    beta_rule: str = "constant"
     beta_start: float = 1.0
     beta_lower: float = 1.0
 
     def __post_init__(self):
         if self.alpha_rule not in _ALPHA_RULES:
             raise ContractError(f"unknown alpha_rule '{self.alpha_rule}'")
-        if self.beta_rule not in _BETA_RULES:
-            raise ContractError(f"unknown beta_rule '{self.beta_rule}'")
         if not (0.0 < self.mu < 1.0):
             raise ContractError(f"mu={self.mu} must lie in (0, 1)")
         if self.s_u <= 0 or self.s_l <= 0:
             raise ContractError("step sizes s_u, s_l must be positive")
-        if self.alpha_rule != "zero" and not (0.0 < self.alpha_scale <= 1.0):
-            raise ContractError("alpha_scale must lie in (0, 1]")
+        if not (0.0 <= self.alpha_scale <= 1.0):
+            raise ContractError("alpha_scale must lie in [0, 1]")
         if not (0.0 < self.beta_lower <= self.beta_start <= 1.0):
             raise ContractError("need 0 < beta_lower <= beta_start <= 1")
-        if self.beta_rule == "constant" and self.beta_start != self.beta_lower:
-            raise ContractError("constant beta rule requires beta_start == beta_lower")
 
     def alpha(self, k: int) -> float:
         if self.alpha_rule == "harmonic":
-            return 1.0 / (k + 1)
-        if self.alpha_rule == "scaled":
             return self.alpha_scale / (k + 1)
-        if self.alpha_rule == "constant":
-            return self.alpha_scale
-        return 0.0
+        return self.alpha_scale
 
     def beta(self, k: int) -> float:
-        if self.beta_rule == "constant":
-            return self.beta_start
         return self.beta_lower + (self.beta_start - self.beta_lower) / (k + 1)
 
     @property
     def c_beta(self) -> float:
         """Smallest c with |beta_k - beta_{k-1}| <= c / (k+1)^2 for all k >= 1."""
-        if self.beta_rule == "constant":
-            return 0.0
         # |beta_k - beta_{k-1}| = (beta_start - beta_lower) / (k (k+1))
         return 2.0 * (self.beta_start - self.beta_lower)
 

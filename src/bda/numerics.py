@@ -1,4 +1,4 @@
-"""Dense vector validation, box regions, and seeded RNG streams.
+"""Dense vector validation, typed JSON settings, box regions, and RNG streams.
 
 Every other module goes through these helpers so that non-finite values are
 rejected at module boundaries and box projections behave identically
@@ -6,6 +6,7 @@ everywhere.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,26 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def typed_value(name: str, value, kind: type, nullable: bool = False):
+    """``value``, a setting read from JSON, checked to be of ``kind``.
+
+    An int must be a JSON integer, a float a finite JSON number (an integer
+    is converted), a str a string; null passes only when ``nullable``.  A
+    bool or a numeric string is rejected, where int() or float() would
+    misread it."""
+    if value is None and nullable:
+        return None
+    if kind is float and type(value) in (int, float) and \
+            abs(value) <= sys.float_info.max:  # no NaN, inf or 400-digit int
+        return float(value)
+    if type(value) is kind and kind is not float:
+        return value
+    raise ContractError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def rng_stream(seed: int) -> np.random.Generator:
     """Deterministic random stream; identical seeds give identical draws on
     every platform (PCG64 is fully specified)."""
@@ -48,47 +69,31 @@ def rng_stream(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """Per-coordinate interval constraints.
-
-    Unbounded sides are flagged in ``lower_free`` / ``upper_free`` rather than
-    stored as floating infinities, so vectors handled by the arithmetic stay
-    finite.  The bound arrays hold 0.0 at free coordinates; those entries are
-    never read.  Projection clamps against a private floor and ceiling that
-    hold -inf / +inf on free sides, built once here.
-    """
+    """Per-coordinate interval constraints; a free side holds -inf / +inf."""
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_free: np.ndarray
-    upper_free: np.ndarray
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        lf = np.asarray(self.lower_free, dtype=bool)
-        uf = np.asarray(self.upper_free, dtype=bool)
-        if not (lo.shape == hi.shape == lf.shape == uf.shape) or lo.ndim != 1:
+        if lo.shape != hi.shape or lo.ndim != 1:
             raise ContractError("BoxRegion: bound arrays must share one 1-D shape")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise NumericalError("BoxRegion: bound values must be finite")
-        both = ~lf & ~uf
-        if np.any(lo[both] > hi[both]):
+        if not ((lo < np.inf).all() and (hi > -np.inf).all()):  # NaN fails too
+            raise NumericalError("BoxRegion: a bound is NaN, a lower bound "
+                                 "+inf or an upper bound -inf")
+        if np.any(lo > hi):
             raise ContractError("BoxRegion: lower > upper on some coordinate")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "lower_free", lf)
-        object.__setattr__(self, "upper_free", uf)
-        object.__setattr__(self, "_floor", np.where(lf, -np.inf, lo))
-        object.__setattr__(self, "_ceil", np.where(uf, np.inf, hi))
 
     @classmethod
     def cube(cls, dim: int, lo: float, hi: float) -> "BoxRegion":
-        return cls(np.full(dim, float(lo)), np.full(dim, float(hi)),
-                   np.zeros(dim, bool), np.zeros(dim, bool))
+        return cls(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
     @classmethod
     def whole_space(cls, dim: int) -> "BoxRegion":
-        return cls(np.zeros(dim), np.zeros(dim), np.ones(dim, bool), np.ones(dim, bool))
+        return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
 
     @property
     def dim(self) -> int:
@@ -96,7 +101,7 @@ class BoxRegion:
 
     @property
     def is_bounded(self) -> bool:
-        return not (self.lower_free.any() or self.upper_free.any())
+        return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
 
     def diameter(self) -> float:
         if not self.is_bounded:
@@ -109,12 +114,12 @@ class BoxRegion:
     def clamp(self, v: np.ndarray) -> np.ndarray:
         """``v`` clamped into the box, unchecked: the caller guarantees a
         finite float vector of length ``dim``."""
-        return np.minimum(np.maximum(v, self._floor), self._ceil)
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
     def active_mask(self, v: np.ndarray) -> np.ndarray:
         """Boolean mask of coordinates where projecting ``v`` clamps it."""
         v = as_vector(v, dim=self.dim, name="point")
-        return (v < self._floor) | (v > self._ceil)
+        return (v < self.lower) | (v > self.upper)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform samples; requires a bounded region."""

@@ -34,6 +34,21 @@ METHODS = {
 
 METRIC_COLUMNS = ("phiK", "grad_norm", "err_x", "err_y", "f_gap", "phi_gap")
 
+# Run config key -> (field, JSON type), for the SolverConfig and its
+# AggregationSchedule: the one map that configs are read through and written
+# from.  cg_tol and cg_max_iter are not run config keys.
+SOLVER_KEYS = {
+    "method": ("method", str), "K": ("K", int),
+    "truncate_at": ("truncate_at", int), "lambda": ("lam", float),
+    "T_max": ("T_max", int), "stop_tol": ("stop_tol", float),
+    "seed": ("seed", int),
+}
+SCHED_KEYS = {
+    "mu": ("mu", float), "su": ("s_u", float), "sl": ("s_l", float),
+    "alpha_rule": ("alpha_rule", str), "alpha_scale": ("alpha_scale", float),
+    "beta_start": ("beta_start", float), "beta_lower": ("beta_lower", float),
+}
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -76,9 +91,10 @@ class RunRecord:
     xs: np.ndarray                 # (T+1, n) outer iterates, x_0 first
     metrics: dict                  # name -> (T,) array, nan when unavailable
     status: str                    # 'converged' | 'max-iters' | 'aborted'
-    resolved_lambda: float | None  # None when the default-step probes failed
     wall_time_s: float
     y_final: np.ndarray
+    # config_dict of the run with the lambda it used (None when the
+    # default-step probes failed)
     config: dict
     error: str | None = None
     error_class: str | None = None  # 'CapabilityError' | 'NumericalError'
@@ -100,7 +116,8 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
     """x - lam * g projected back onto the feasible box."""
     x = as_vector(x, name="x")
     g = as_vector(g, dim=x.shape[0], name="gradient")
-    return region_x.project(x - lam * g)
+    return region_x.clamp(as_vector(x - lam * g, dim=region_x.dim,
+                                    name="outer step x - lam * g"))
 
 
 def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
@@ -179,6 +196,7 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             g, ys, active = _method_gradient(problem, x, cfg, y0=y_start)
             # f and F along the kept inner run, else at y_K alone
             values = inner_values(problem, x, ys if keep_inner else ys[-1:])
+            x_next = outer_step(x, g, lam, problem.region_x)
         except (NumericalError, CapabilityError) as err:
             status, error_msg = "aborted", str(err)
             error_class = ("CapabilityError" if isinstance(err, CapabilityError)
@@ -204,7 +222,6 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
         columns["phi_gap"].append(
             abs(F_K - problem.phi_star_of_x(x))
             if problem.phi_star_of_x is not None else np.nan)
-        x_next = outer_step(x, g, lam, problem.region_x)
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
         xs.append(x.copy())
@@ -218,20 +235,14 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
     return RunRecord(
         problem=problem.name, method=cfg.method,
         xs=np.asarray(xs), metrics=metrics, status=status,
-        resolved_lambda=lam, wall_time_s=wall,
-        y_final=np.asarray(y_K), config=config_dict(cfg, lam),
+        wall_time_s=wall, y_final=np.asarray(y_K),
+        config={**config_dict(cfg), "lambda": lam},
         error=error_msg, error_class=error_class, inner_rows=inner_rows)
 
 
-def config_dict(cfg: SolverConfig, resolved_lambda: float | None = None) -> dict:
-    sched = cfg.sched
-    out = {
-        "method": cfg.method, "K": cfg.K, "truncate_at": cfg.truncate_at,
-        "lambda": cfg.lam if cfg.lam is not None else resolved_lambda,
-        "T_max": cfg.T_max, "stop_tol": cfg.stop_tol, "seed": cfg.seed,
-        "mu": sched.mu, "su": sched.s_u, "sl": sched.s_l,
-        "alpha_rule": sched.alpha_rule, "alpha_scale": sched.alpha_scale,
-        "beta_rule": sched.beta_rule, "beta_start": sched.beta_start,
-        "beta_lower": sched.beta_lower,
-    }
-    return out
+def config_dict(cfg: SolverConfig) -> dict:
+    """``cfg`` as run config keys; with a "problem" key it loads back as
+    ``cfg`` (cg_tol and cg_max_iter aside)."""
+    return {**{key: getattr(cfg, name) for key, (name, _) in SOLVER_KEYS.items()},
+            **{key: getattr(cfg.sched, name)
+               for key, (name, _) in SCHED_KEYS.items()}}

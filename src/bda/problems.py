@@ -8,13 +8,13 @@ so that metric and verification code has exact references.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .numerics import (BoxRegion, CapabilityError, ContractError, as_vector,
-                       rng_stream)
+                       rng_stream, typed_value)
 
 Array = np.ndarray
 VecFn = Callable[[Array, Array], Array]
@@ -437,6 +437,9 @@ class HypercleanConfig:
     ul_ridge: float = 0.0      # optional ridge on the sample weights in F
 
     def __post_init__(self):
+        for f in fields(self):  # each field takes the JSON type of its default
+            object.__setattr__(self, f.name, typed_value(
+                f"hyperclean: {f.name}", getattr(self, f.name), type(f.default)))
         if self.n_train <= 0 or self.n_val <= 0 or self.n_test <= 0:
             raise ContractError("hyperclean: split sizes must be positive")
         if not (0.0 <= self.corruption_fraction < 1.0):

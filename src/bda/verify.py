@@ -269,8 +269,8 @@ def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
     (1 + ln k) / k^{1/4}.  Violations are data, not errors; they are listed
     with their k and margin.
     """
-    if sched.alpha_rule != "harmonic":
-        raise ContractError("rate bound requires the harmonic alpha rule")
+    if sched.alpha_rule != "harmonic" or sched.alpha_scale != 1.0:
+        raise ContractError("rate bound requires alpha_k = 1 / (k + 1)")
     if k_max < 2:
         raise ContractError("k_max must be >= 2")
     problem.require("f_star_of_x")

@@ -21,7 +21,7 @@ from bda.verify import (check_descent_inequality, check_nonexpansive,
                         rhg_limit_oracle_counterexample)
 
 SCHED_81 = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                               alpha_rule="scaled", alpha_scale=0.5)
+                               alpha_rule="harmonic", alpha_scale=0.5)
 
 
 def _report(num, name, ok, detail):
@@ -218,14 +218,14 @@ def test_criterion_08_convergence_properties():
 def test_criterion_09_onestage_consistency():
     problem = make_remark1()
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                                alpha_rule="scaled", alpha_scale=0.5)
+                                alpha_rule="harmonic", alpha_scale=0.5)
     ref = hypergrad_reverse(problem, [1.0], 1, sched, mode="bda").gradient
     res = hypergrad_onestage(problem, [1.0], [0.0, 0.0], sched, eps=1e-4)
     rel = abs(res.gradient[0] - ref[0]) / abs(ref[0])
 
     ce = make_counterexample(3)
     sched_ce = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1,
-                                   alpha_rule="scaled", alpha_scale=0.5)
+                                   alpha_rule="harmonic", alpha_scale=0.5)
     x = 1.5 * np.ones(3)
     ref_ce = hypergrad_reverse(ce, x, 1, sched_ce, mode="bda").gradient
     eps_grid = np.logspace(-6, -2, 9)
@@ -262,7 +262,7 @@ def test_criterion_11_determinism(tmp_path):
         "problem": "counterexample", "problem_params": {"n": 4},
         "method": "bda", "K": 10, "lambda": 0.01,
         "mu": 0.1, "su": 0.1, "sl": 0.1,
-        "alpha_rule": "scaled", "alpha_scale": 0.5,
+        "alpha_rule": "harmonic", "alpha_scale": 0.5,
         "T_max": 60, "stop_tol": 1e-10, "seed": 7,
     }
     cfg_path = tmp_path / "cfg.json"

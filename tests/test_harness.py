@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          suite_hyperclean, default_hyperclean_solver)
 from bda.inner import AggregationSchedule
 from bda.numerics import ContractError
-from bda.outer import SolverConfig, solve
+from bda.outer import SolverConfig, config_dict, solve
 from bda.problems import HypercleanConfig, make_hypercleaning, make_remark1
 
 
@@ -32,7 +33,6 @@ def _write_config(path, **overrides):
         "lambda": 0.5,
         "mu": 0.1, "su": 0.1, "sl": 0.1,
         "alpha_rule": "harmonic",
-        "beta_rule": "constant",
         "T_max": 40,
         "stop_tol": 1e-10,
         "seed": 0,
@@ -97,7 +97,7 @@ def test_run_experiment_writes_resolved_config(tmp_path):
         summary = json.load(fh)
     # full resolved config with defaults expanded
     for key in ("method", "K", "lambda", "mu", "su", "sl", "alpha_rule",
-                "beta_rule", "T_max", "stop_tol", "seed"):
+                "T_max", "stop_tol", "seed"):
         assert key in summary["config"]
     assert os.path.exists(tmp_path / "out" / "trace.csv")
 
@@ -194,9 +194,6 @@ def test_config_unknown_keys_are_config_errors(tmp_path, capsys):
         load_config(cfg_path)
     assert cli_main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert "alpha_rul" in capsys.readouterr().err
-    # the beta_value alias still sets both beta keys
-    exp = load_config(_write_config(str(tmp_path / "alias.json"), beta_value=0.5))
-    assert exp.solver.sched.beta_start == exp.solver.sched.beta_lower == 0.5
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -218,6 +215,62 @@ def test_config_integer_keys_reject_non_integers(tmp_path, capsys, overrides,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert f"{key} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf, -math.inf,
+                                   10 ** 400])
+@pytest.mark.parametrize("key", ["lambda", "stop_tol", "mu", "su", "sl",
+                                 "alpha_scale", "beta_start", "beta_lower"])
+def test_config_float_keys_reject_what_is_not_a_finite_number(tmp_path, capsys,
+                                                              key, value):
+    # float() would read true as 1.0 and "0.1" as 0.1, and overflow on 10**400
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_integer_for_a_float_key_loads_as_a_float(tmp_path):
+    exp = load_config(_write_config(str(tmp_path / "cfg.json"), **{"lambda": 1}))
+    assert type(exp.solver.lam) is float and exp.solver.lam == 1.0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"beta_rule": "constant"}, {"beta_value": 0.5},
+    {"alpha_rule": "scaled"}, {"alpha_rule": "zero"},
+])
+def test_config_removed_schedule_spellings_exit_3(tmp_path, overrides):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), **overrides)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_dict_loads_back_as_the_same_solver_config(tmp_path,
+                                                          monkeypatch):
+    # the bda/rhg/trhg/obda configs the two suites build
+    built = []
+    real_solve = bda.harness.solve
+
+    def recording_solve(problem, cfg, **kwargs):
+        built.append(cfg)
+        return real_solve(problem, cfg, **kwargs)
+
+    monkeypatch.setattr(bda.harness, "solve", recording_solve)
+    suite_counterexample(2, 2, ["bda", "rhg", "trhg"], str(tmp_path / "ce"),
+                         T_max=2, num_inits=1)
+    problem = make_hypercleaning(HypercleanConfig(seed=1))
+    built += [default_hyperclean_solver(problem, method)
+              for method in ("bda", "rhg", "trhg", "obda")]
+    assert {cfg.method for cfg in built} == {"bda", "rhg", "trhg", "obda"}
+    for i, cfg in enumerate(built):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps({"problem": "remark1", **config_dict(cfg)}),
+                        encoding="utf-8")
+        assert load_config(str(path)).solver == cfg
 
 
 def test_config_verbosity_must_be_summary_or_full(tmp_path, capsys):
@@ -284,6 +337,42 @@ def test_cli_run_numerical_abort_exits_4_and_names_the_seeds(tmp_path, capsys,
         assert summary["status"] == "aborted"
         assert summary["error_class"] == "NumericalError"
         assert (out / f"trace_{seed}.csv").exists()
+
+
+def test_cli_run_non_finite_outer_step_writes_aborted_record(tmp_path):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), method="bda", K=5,
+                             x0=[50.0], **{"lambda": 1e307})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = cli_main(["run", "--config", cfg_path, "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    summary = json.loads((out / "summary.json").read_text("utf-8"))
+    assert summary["status"] == "aborted"
+    assert summary["error_class"] == "NumericalError"
+    assert summary["error"].startswith("outer step")
+    assert summary["iterations"] == 0
+    assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", True),
+                                         ("n_train", 30.5)])
+@pytest.mark.parametrize("command", ["run", "hyperclean"])
+def test_hyperclean_config_fields_take_the_type_of_their_default(
+        tmp_path, capsys, command, field, value):
+    params = {field: value}
+    out = str(tmp_path / "out")
+    if command == "run":
+        cfg_path = _write_config(str(tmp_path / "cfg.json"),
+                                 problem="hyperclean", problem_params=params,
+                                 su=0.005, sl=0.005, T_max=2)
+        argv = ["run", "--config", cfg_path, "--out", out]
+    else:
+        cfg_path = tmp_path / "hc.json"
+        cfg_path.write_text(json.dumps(params), encoding="utf-8")
+        argv = ["hyperclean", "--config", str(cfg_path), "--methods", "bda",
+                "--out", out]
+    assert cli_main(argv) == EXIT_CONFIG
+    assert f"hyperclean: {field} must be" in capsys.readouterr().err
 
 
 def test_readme_example_config_loads(tmp_path):

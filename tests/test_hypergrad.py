@@ -198,7 +198,7 @@ def test_implicit_matches_long_unrolled_run():
 # ---------------------------------------------------------------------------
 
 ONESTAGE = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                               alpha_rule="scaled", alpha_scale=0.5)
+                               alpha_rule="harmonic", alpha_scale=0.5)
 
 
 def test_onestage_close_to_one_step_reverse():
@@ -218,7 +218,8 @@ def test_onestage_zero_coupling_gradient_is_exact():
     beta = (1 - mu) * 1.0
     y1 = s * beta * B * x0  # one aggregated step from y0 = 0 (b-independent)
     p = lls_quadratic(A=A, B=B, b=[y1], rho=rho, x_radius=10.0)
-    sched = AggregationSchedule(mu=mu, s_u=s, s_l=s, alpha_rule="zero")
+    sched = AggregationSchedule(mu=mu, s_u=s, s_l=s, alpha_rule="constant",
+                                alpha_scale=0.0)
     res = hypergrad_onestage(p, [x0], [0.0], sched, eps=1e-5)
     np.testing.assert_array_equal(res.gradient, p.grad_x_F(np.array([x0]), np.array([y1])))
 
@@ -238,7 +239,7 @@ def test_onestage_projected_branch_matches_one_step_reverse(s_l):
     p = make_counterexample(2, y_radius=0.3)
     x, y0 = np.array([1.5, 0.2]), np.zeros(p.m)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=s_l,
-                                alpha_rule="scaled", alpha_scale=0.5)
+                                alpha_rule="harmonic", alpha_scale=0.5)
     res = hypergrad_onestage(p, x, y0, sched, eps=1e-6)
     ref = hypergrad_reverse(p, x, 1, sched, mode="bda", y0=y0).gradient
     assert res.diagnostics["branch"] == "projected"

@@ -19,15 +19,16 @@ from bda.verify import check_nonexpansive
 def test_alpha_rules():
     assert AggregationSchedule(alpha_rule="harmonic").alpha(0) == 1.0
     assert AggregationSchedule(alpha_rule="harmonic").alpha(9) == pytest.approx(0.1)
-    scaled = AggregationSchedule(alpha_rule="scaled", alpha_scale=0.5)
+    scaled = AggregationSchedule(alpha_rule="harmonic", alpha_scale=0.5)
     assert scaled.alpha(0) == 0.5          # first step uses the full scale
     assert scaled.alpha(4) == pytest.approx(0.1)
     assert AggregationSchedule(alpha_rule="constant", alpha_scale=0.3).alpha(7) == 0.3
-    assert AggregationSchedule(alpha_rule="zero").alpha(0) == 0.0
+    assert AggregationSchedule(alpha_rule="constant",
+                               alpha_scale=0.0).alpha(0) == 0.0
 
 
 def test_alpha_nonincreasing_and_in_range():
-    for rule, scale in (("harmonic", 1.0), ("scaled", 0.5), ("constant", 0.7)):
+    for rule, scale in (("harmonic", 1.0), ("harmonic", 0.5), ("constant", 0.7)):
         sched = AggregationSchedule(alpha_rule=rule, alpha_scale=scale)
         vals = [sched.alpha(k) for k in range(50)]
         assert all(0.0 < v <= 1.0 for v in vals)
@@ -35,8 +36,7 @@ def test_alpha_nonincreasing_and_in_range():
 
 
 def test_beta_declining_rule_increment_bound():
-    sched = AggregationSchedule(beta_rule="declining", beta_start=1.0,
-                                beta_lower=0.4)
+    sched = AggregationSchedule(beta_start=1.0, beta_lower=0.4)
     vals = [sched.beta(k) for k in range(200)]
     assert all(sched.beta_lower <= v <= 1.0 for v in vals)
     for k in range(1, 200):
@@ -50,12 +50,58 @@ def test_schedule_validation_errors():
     with pytest.raises(ContractError):
         AggregationSchedule(s_l=0.0)
     with pytest.raises(ContractError):
-        AggregationSchedule(alpha_rule="scaled", alpha_scale=1.5)
+        AggregationSchedule(alpha_rule="harmonic", alpha_scale=1.5)
     with pytest.raises(ContractError):
-        AggregationSchedule(beta_rule="declining", beta_start=0.5,
-                            beta_lower=0.9)
+        AggregationSchedule(beta_start=0.5, beta_lower=0.9)
     with pytest.raises(ContractError):
         AggregationSchedule(alpha_rule="mystery")
+
+
+def _old_schedule(alpha_rule, alpha_scale, beta_rule, beta_start, beta_lower):
+    """Reference: alpha(k), beta(k) and c_beta as computed when the schedule
+    had four alpha rules and a beta rule."""
+    def alpha(k):
+        if alpha_rule == "harmonic":
+            return 1.0 / (k + 1)
+        if alpha_rule == "scaled":
+            return alpha_scale / (k + 1)
+        if alpha_rule == "constant":
+            return alpha_scale
+        return 0.0
+
+    def beta(k):
+        if beta_rule == "constant":
+            return beta_start
+        return beta_lower + (beta_start - beta_lower) / (k + 1)
+
+    c_beta = 0.0 if beta_rule == "constant" else 2.0 * (beta_start - beta_lower)
+    return alpha, beta, c_beta
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(alpha_rule=st.sampled_from(["harmonic", "scaled", "constant", "zero"]),
+       alpha_scale=st.floats(0.0, 1.0, exclude_min=True),
+       beta_rule=st.sampled_from(["constant", "declining"]),
+       beta_lower=st.floats(0.0, 1.0, exclude_min=True),
+       beta_frac=st.floats(0.0, 1.0), k=st.integers(0, 10**6))
+def test_schedule_numbers_bitwise_equal_the_old_rules(alpha_rule, alpha_scale,
+                                                      beta_rule, beta_lower,
+                                                      beta_frac, k):
+    beta_start = beta_lower if beta_rule == "constant" else \
+        min(1.0, beta_lower + beta_frac * (1.0 - beta_lower))
+    old_alpha, old_beta, old_c_beta = _old_schedule(
+        alpha_rule, alpha_scale, beta_rule, beta_start, beta_lower)
+    # scaled is harmonic at its scale, zero is constant at 0, and the
+    # constant beta rule is the declining one with beta_start == beta_lower
+    rule, scale = {"harmonic": ("harmonic", 1.0),
+                   "scaled": ("harmonic", alpha_scale),
+                   "constant": ("constant", alpha_scale),
+                   "zero": ("constant", 0.0)}[alpha_rule]
+    sched = AggregationSchedule(alpha_rule=rule, alpha_scale=scale,
+                                beta_start=beta_start, beta_lower=beta_lower)
+    assert sched.alpha(k).hex() == old_alpha(k).hex()
+    assert sched.beta(k).hex() == old_beta(k).hex()
+    assert sched.c_beta.hex() == old_c_beta.hex()
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.1, 1.0, float("nan")])
@@ -80,14 +126,15 @@ def test_schedule_admissibility_against_declared_constants():
 def test_aggregated_step_hand_value():
     p = make_remark1()
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                                alpha_rule="scaled", alpha_scale=0.5)
+                                alpha_rule="harmonic", alpha_scale=0.5)
     y1, _, _ = aggregated_step(p, np.array([1.0]), np.array([0.0, 0.0]), 0, sched)
     np.testing.assert_allclose(y1, [0.095, 0.005], rtol=0, atol=1e-15)
 
 
 def test_aggregated_step_alpha_zero_is_plain_projected_step():
     p = make_counterexample(2)
-    sched = AggregationSchedule(mu=0.4, s_u=0.1, s_l=0.1, alpha_rule="zero")
+    sched = AggregationSchedule(mu=0.4, s_u=0.1, s_l=0.1, alpha_rule="constant",
+                                alpha_scale=0.0)
     x = np.array([0.5, 0.5])
     y = np.array([0.2, -0.1, 0.0, 0.3])
     y1, _, _ = aggregated_step(p, x, y, 0, sched)
@@ -180,7 +227,7 @@ def test_run_inner_bda_ll_gap_monotone_after_transient():
     # early UL weights have decayed
     p = make_counterexample(50)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                                alpha_rule="scaled", alpha_scale=0.5)
+                                alpha_rule="harmonic", alpha_scale=0.5)
     x = np.ones(50)
     _, trace = run_inner(p, x, 20, sched, mode="bda")
     gaps = inner_values(p, x, trace.ys)[0] - p.f_star_of_x(x)
@@ -225,7 +272,7 @@ def test_aux_point_contraction_on_known_solution_sets():
 def test_unbounded_region_run_stays_bounded_and_converges():
     # level-bounded LL keeps the aggregated run bounded without any box
     p = make_lls_quadratic(2, 3, seed=8)
-    assert p.region_y.lower_free.all() and p.region_y.upper_free.all()
+    assert (p.region_y.lower == -np.inf).all() and (p.region_y.upper == np.inf).all()
     s = 0.5 / max(p.L_F, p.L_f)
     sched = AggregationSchedule(mu=0.2, s_u=s, s_l=s, alpha_rule="harmonic")
     x = np.array([0.5, -0.5])
@@ -243,18 +290,17 @@ def test_unbounded_region_run_stays_bounded_and_converges():
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(n=st.integers(1, 4), m=st.integers(1, 6), seed=st.integers(0, 10_000),
        K=st.integers(1, 12), mode=st.sampled_from(["bda", "plain"]),
-       alpha=st.sampled_from([("harmonic", 1.0), ("scaled", 0.6),
+       alpha=st.sampled_from([("harmonic", 1.0), ("harmonic", 0.6),
                               ("constant", 0.3)]),
-       beta=st.sampled_from([("constant", 1.0, 1.0),
-                             ("declining", 0.9, 0.3)]))
+       beta=st.sampled_from([(1.0, 1.0), (0.9, 0.3)]))
 def test_run_inner_equals_public_steps_on_clamping_box(n, m, seed, K, mode,
                                                        alpha, beta):
     q = dataclasses.replace(make_lls_quadratic(n, m, seed=seed),
                             region_y=BoxRegion.cube(m, -0.3, 0.3))
     s = 0.5 / max(q.L_F, q.L_f)
     sched = AggregationSchedule(mu=0.3, s_u=s, s_l=s, alpha_rule=alpha[0],
-                                alpha_scale=alpha[1], beta_rule=beta[0],
-                                beta_start=beta[1], beta_lower=beta[2])
+                                alpha_scale=alpha[1], beta_start=beta[0],
+                                beta_lower=beta[1])
     rng = rng_stream(seed)
     x = q.region_x.project(2.0 * rng.standard_normal(n))
     y0 = rng.standard_normal(m)
@@ -309,8 +355,7 @@ def test_non_finite_gradient_mid_run_raises_before_any_clamp(oracle, mode):
 
     box = base.region_y
     p = dataclasses.replace(
-        base, region_y=Watched(box.lower, box.upper, box.lower_free,
-                               box.upper_free),
+        base, region_y=Watched(box.lower, box.upper),
         **{oracle: _inf_from_third_call(getattr(base, oracle))})
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.9)
     x = 3.0 * np.ones(3)

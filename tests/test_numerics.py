@@ -48,7 +48,8 @@ def _box_and_points(draw):
     vec = st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim).map(np.array)
     flags = st.lists(st.booleans(), min_size=dim, max_size=dim).map(np.array)
     a, b = draw(vec), draw(vec)
-    region = BoxRegion(np.minimum(a, b), np.maximum(a, b), draw(flags), draw(flags))
+    region = BoxRegion(np.where(draw(flags), -np.inf, np.minimum(a, b)),
+                       np.where(draw(flags), np.inf, np.maximum(a, b)))
     return region, draw(vec), draw(vec)
 
 
@@ -66,7 +67,7 @@ def _masked_project(region, v):
     """Reference projection: clamp only the bounded sides, by boolean masks
     on a copy."""
     out = v.copy()
-    clip_lo, clip_hi = ~region.lower_free, ~region.upper_free
+    clip_lo, clip_hi = np.isfinite(region.lower), np.isfinite(region.upper)
     out[clip_lo] = np.maximum(out[clip_lo], region.lower[clip_lo])
     out[clip_hi] = np.minimum(out[clip_hi], region.upper[clip_hi])
     return out
@@ -84,14 +85,14 @@ def _box_and_edge_point(draw):
     flags = st.lists(st.booleans(), min_size=dim, max_size=dim).map(np.array)
     a, b = draw(vec), draw(vec)
     lower, upper = np.minimum(a, b), np.maximum(a, b)
-    region = BoxRegion(lower, upper, draw(flags), draw(flags))
+    region = BoxRegion(np.where(draw(flags), -np.inf, lower),
+                       np.where(draw(flags), np.inf, upper))
     pick = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
     return region, np.choose(pick, [lower, upper, draw(vec)])
 
 
 _SIGNED_ZERO_BOX = BoxRegion(np.array([-0.0, 0.0, 0.0, -0.0]),
-                             np.array([0.0, -0.0, 0.0, -0.0]),
-                             np.zeros(4, bool), np.array([False, False, True, True]))
+                             np.array([0.0, -0.0, np.inf, np.inf]))
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -106,9 +107,8 @@ def test_project_bitwise_equals_masked_form(case):
 
 
 def test_partial_bounds_and_free_sides():
-    region = BoxRegion(lower=np.array([0.0, 0.0]), upper=np.array([1.0, 0.0]),
-                       lower_free=np.array([False, True]),
-                       upper_free=np.array([False, True]))
+    region = BoxRegion(lower=np.array([0.0, -np.inf]),
+                       upper=np.array([1.0, np.inf]))
     np.testing.assert_array_equal(region.project(np.array([-5.0, -5.0])),
                                   [0.0, -5.0])
     assert not region.is_bounded
@@ -134,8 +134,11 @@ def test_non_finite_rejected_at_boundaries():
     with pytest.raises(NumericalError):
         as_vector([np.inf, 0.0])
     with pytest.raises(NumericalError):
-        BoxRegion(np.array([np.inf]), np.array([0.0]),
-                  np.zeros(1, bool), np.zeros(1, bool))
+        BoxRegion(np.array([np.inf]), np.array([0.0]))
+    with pytest.raises(NumericalError):
+        BoxRegion(np.array([-np.inf]), np.array([-np.inf]))
+    with pytest.raises(NumericalError):
+        BoxRegion(np.array([0.0]), np.array([np.nan]))
     with pytest.raises(ContractError):
         BoxRegion.cube(2, 1.0, -1.0)
 

@@ -89,8 +89,7 @@ def test_default_lambda_heuristic_runs():
     sched = AggregationSchedule(mu=0.2, s_u=s, s_l=s, alpha_rule="harmonic")
     cfg = SolverConfig(method="rhg", K=10, lam=None, T_max=40, sched=sched)
     record = solve(p, cfg)
-    assert record.resolved_lambda > 0.0
-    assert record.config["lambda"] == record.resolved_lambda
+    assert record.config["lambda"] > 0.0
 
 
 def test_metrics_nan_when_no_references():
@@ -140,7 +139,7 @@ def test_final_error_decreases_with_inner_horizon():
     # moves monotonically toward the true optimum (10% slack)
     p = make_counterexample(8)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
-                                alpha_rule="scaled", alpha_scale=0.5)
+                                alpha_rule="harmonic", alpha_scale=0.5)
     errs = []
     for K in (5, 20, 80):
         cfg = SolverConfig(method="bda", K=K, lam=0.01, T_max=3000,
@@ -170,6 +169,17 @@ def test_numerical_failure_aborts_with_partial_record():
     assert len(record.metrics["phiK"]) < 50   # partial history retained
 
 
+def test_non_finite_outer_step_aborts_with_record():
+    # x - lam * g overflows on the first step; the run ends with a record
+    cfg = SolverConfig(method="bda", K=5, lam=1e307, T_max=20, sched=SCHED)
+    with np.errstate(over="ignore"):
+        record = solve(make_remark1(), cfg, x0=np.array([50.0]))
+    assert record.status == "aborted"
+    assert record.error_class == "NumericalError"
+    assert record.error == "outer step x - lam * g: non-finite entries"
+    assert record.T == 0 and len(record.metrics["phiK"]) == 0
+
+
 def test_capability_failure_mid_run_aborts_with_partial_record():
     # CG meets the singular remark1 Hessian once x leaves 0
     cfg = SolverConfig(method="ihg", K=10, lam=0.5, T_max=20, sched=SCHED)
@@ -188,7 +198,7 @@ def test_default_lambda_probe_failure_aborts_with_empty_record():
     assert record.status == "aborted"
     assert "not positive definite" in record.error
     assert record.T == 0
-    assert record.resolved_lambda is None
+    assert record.config["lambda"] is None
     assert len(record.metrics["phiK"]) == 0
 
 
@@ -246,7 +256,7 @@ def test_default_step_probes_evaluate_no_values(method):
     cfg = SolverConfig(method=method, K=1 if method == "obda" else 4,
                        T_max=5, sched=SCHED)
     record = solve(p, cfg)
-    assert record.T >= 1 and record.resolved_lambda is not None
+    assert record.T >= 1 and record.config["lambda"] is not None
     assert calls == {"f": record.T, "F": record.T}
 
 

@@ -51,7 +51,7 @@ CASES = [(p, m) for p in PROBLEMS for m in METHOD_KEYS]
 def _config(problem: str, method: str) -> dict:
     cfg = {"method": method, "K": 5, "T_max": 12,
            "mu": 0.1, "su": 0.1, "sl": 0.1, "alpha_rule": "harmonic",
-           "beta_rule": "constant", "stop_tol": 1e-12, "seed": 0,
+           "stop_tol": 1e-12, "seed": 0,
            "verbosity": "full", **PROBLEMS[problem], **METHOD_KEYS[method]}
     cfg.update(OVERRIDES.get((problem, method), {}))
     return cfg

@@ -135,7 +135,7 @@ def test_rate_bound_trivial_gap_at_stationary_x():
 
 def test_rate_bound_requires_harmonic_alpha():
     problem, sched, x = _rate_setup()
-    bad = dataclasses.replace(sched, alpha_rule="scaled", alpha_scale=0.5)
+    bad = dataclasses.replace(sched, alpha_rule="harmonic", alpha_scale=0.5)
     with pytest.raises(ContractError):
         check_rate_bound(problem, x, bad, k_max=10)
 
