@@ -90,6 +90,8 @@ def load_config(path: str) -> ExperimentConfig:
             **_pop_fields(raw, SCHED_KEYS, AggregationSchedule))
         solver = SolverConfig(sched=sched,
                               **_pop_fields(raw, SOLVER_KEYS, SolverConfig))
+        if "repeats" in raw and "seeds" in raw:
+            raise ConfigError("give repeats or seeds, not both")
         repeats = typed_value("repeats", raw.pop("repeats", 1), int)
         seeds = raw.pop("seeds", None)
         if seeds is None:
@@ -103,7 +105,7 @@ def load_config(path: str) -> ExperimentConfig:
             problem_name=raw.pop("problem"),
             problem_params=dict(raw.pop("problem_params", {})),
             solver=solver,
-            out_dir=raw.pop("out", "."),
+            out_dir=typed_value("out", raw.pop("out", "."), str),
             verbosity=verbosity,
             seeds=seeds,
             x0=raw.pop("x0", None),

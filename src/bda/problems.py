@@ -8,6 +8,7 @@ so that metric and verification code has exact references.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -462,30 +463,40 @@ def _softmax(logits):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-class _LastValue:
-    """``fn(arg)`` with a one-entry cache keyed on the bytes of ``arg``.
+_MEMO_POINTS = 64  # y_0..y_K of an inner run with K < 64 fit at once
 
-    A value key is never stale: an argument changed in place is a miss.  The
-    cached array is read-only, so no caller can alter a later hit.
+
+class _Memo:
+    """``fn(arg)`` remembered for the last ``_MEMO_POINTS`` arguments, so a
+    backward pass reads the values its forward pass computed at each y_k.
+
+    The key is the shape and bytes of ``arg``, so a value key is never stale:
+    an argument changed in place is a miss.  The oldest entry is evicted
+    first.  Cached arrays are read-only, so no caller can alter a later hit.
     """
 
     def __init__(self, fn):
         self._fn = fn
-        self._entry = (None, None)  # (key, value), replaced as one tuple
+        self._values = {}  # insertion order is the eviction order
+        self._lock = threading.Lock()  # a problem may be shared by threads
 
     def __call__(self, arg):
         arg = np.asarray(arg, dtype=float)
-        key = arg.tobytes()
-        cached_key, value = self._entry
-        if key != cached_key:
+        key = (arg.shape, arg.tobytes())
+        value = self._values.get(key)
+        if value is None:
             value = self._fn(arg)
             value.flags.writeable = False
-            self._entry = (key, value)
+            with self._lock:
+                if len(self._values) >= _MEMO_POINTS:
+                    del self._values[next(iter(self._values))]
+                self._values[key] = value
         return value
 
 
 class _SoftmaxData:
-    """Pre-augmented features and one-hot labels for one split."""
+    """Pre-augmented features, one-hot labels and memoized softmax
+    probabilities ``probs(theta)`` for one split."""
 
     def __init__(self, features: Array, labels: Array, num_classes: int):
         self.features = features
@@ -494,12 +505,10 @@ class _SoftmaxData:
         self.aug = np.hstack([features, np.ones((count, 1))])  # bias column
         self.onehot = np.zeros((count, num_classes))
         self.onehot[np.arange(count), self.labels] = 1.0
+        self.probs = _Memo(lambda theta: _softmax(self.logits(theta)))
 
     def logits(self, theta: Array) -> Array:
         return self.aug @ theta.T
-
-    def probs(self, theta: Array) -> Array:
-        return _softmax(self.logits(theta))
 
     def losses(self, theta: Array) -> Array:
         z = self.logits(theta)
@@ -576,7 +585,7 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         return y.reshape(C, d + 1)
 
     ridge = cfg.ul_ridge
-    sigmoid = _LastValue(_sigmoid)  # x changes once per outer iteration
+    sigmoid = _Memo(_sigmoid)
     val_ones = np.ones(val.labels.shape[0])
 
     def F(x, y):

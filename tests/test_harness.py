@@ -283,6 +283,28 @@ def test_config_verbosity_must_be_summary_or_full(tmp_path, capsys):
     assert "verbosity" in capsys.readouterr().err
 
 
+def test_config_repeats_and_seeds_are_exclusive(tmp_path, capsys):
+    # with both, seeds would win and repeats would have no effect
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), repeats=3, seeds=[7])
+    with pytest.raises(ConfigError, match="repeats or seeds, not both"):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "repeats or seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_out_must_be_a_string(tmp_path, capsys, monkeypatch):
+    # an int reached os.makedirs and died there with a TypeError, exit 1
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), out=5)
+    with pytest.raises(ConfigError, match="out must be a string"):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert "out must be a string" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("x0", ["abc", [[0.1], [0.1, 0.2]]])
 def test_cli_run_x0_that_is_not_floats_exits_3(tmp_path, capsys, x0):
     cfg_path = _write_config(str(tmp_path / "cfg.json"), x0=x0)

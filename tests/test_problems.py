@@ -1,13 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bda import problems
+from bda.hypergrad import hypergrad_implicit, hypergrad_reverse
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import ContractError, rng_stream
 from bda.problems import (HypercleanConfig, lls_quadratic, make_counterexample,
                           make_hypercleaning, make_lls_quadratic, make_problem,
                           make_remark1, make_remark1_regularized,
-                          remark1_plain_descent_limit, _sigmoid)
+                          remark1_plain_descent_limit, _MEMO_POINTS, _sigmoid,
+                          _softmax)
 from bda.verify import fd_gradient, grid_argmin
 
 
@@ -344,6 +350,121 @@ def test_hyperclean_oracles_match_a_fresh_problem_at_every_point():
     visit(x1, y1)
     x1[:] = x3
     visit(x1, y1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ops=st.lists(st.sampled_from(["new", "repeat", "edit"]),
+                    min_size=_MEMO_POINTS + 1, max_size=3 * _MEMO_POINTS))
+def test_memoized_probs_equal_an_unmemoized_softmax_on_every_call(seed, ops):
+    # repeats reach back past the memo's reach, and an edit changes the
+    # contents of an array the memo has already seen
+    data = _hc_problem(seed=1).metadata["train"]
+    rng = rng_stream(seed)
+    history = [rng.standard_normal((3, 3))]
+    for op in ops:
+        if op == "new":
+            history.append(rng.standard_normal((3, 3)))
+        elif op == "repeat":
+            lo = max(0, len(history) - 2 * _MEMO_POINTS)
+            history.append(history[rng.integers(lo, len(history))])
+        else:
+            history[-1][rng.integers(3), rng.integers(3)] += 1.0
+        theta = history[-1]
+        got = data.probs(theta)
+        assert got.tobytes() == _softmax(data.logits(theta)).tobytes()
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+    assert len(data.probs._values) <= _MEMO_POINTS
+
+
+def test_memo_shared_between_threads_keeps_its_bound():
+    # a miss evicts the oldest entry, a check-then-act on the shared dict;
+    # a cheap fn and a short switch interval make an unguarded race show
+    memo = problems._Memo(lambda a: 2.0 * a)
+    args = [np.array([float(i)]) for i in range(4 * _MEMO_POINTS)]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(20000):
+                arg = args[(7 * i + offset) % len(args)]
+                assert memo(arg).tobytes() == (2.0 * arg).tobytes()
+        except Exception as err:  # reported by the main thread below
+            errors.append(err)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(memo._values) <= _MEMO_POINTS
+
+
+def _pass_through_problem(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "_Memo", lambda fn: fn)
+        return _hc_problem(seed=1)
+
+
+# steps just under 0.8 / L_f and 0.8 / L_F of the seed-1 toy problem
+_HC_SCHED = AggregationSchedule(mu=0.1, s_u=0.004, s_l=0.004)
+
+
+@pytest.mark.parametrize("K", [5, 40, 80])  # 80 > _MEMO_POINTS evicts
+@pytest.mark.parametrize("mode", ["bda", "plain"])
+def test_memoized_hypergradients_equal_an_unmemoized_problem(monkeypatch,
+                                                             mode, K):
+    problem, plain = _hc_problem(seed=1), _pass_through_problem(monkeypatch)
+    x = rng_stream(5).standard_normal(problem.n)
+    got = hypergrad_reverse(problem, x, K, _HC_SCHED, mode=mode)
+    want = hypergrad_reverse(plain, x, K, _HC_SCHED, mode=mode)
+    assert got.gradient.tobytes() == want.gradient.tobytes()
+    y_K = got.diagnostics["trace"].ys[-1]
+    got, want = (hypergrad_implicit(p, x, y_K, cg_tol=1e-8)
+                 for p in (problem, plain))
+    assert got.gradient.tobytes() == want.gradient.tobytes()
+
+
+@pytest.fixture
+def softmax_calls(monkeypatch):
+    calls = []
+
+    def counted(logits):
+        calls.append(1)
+        return _softmax(logits)
+
+    monkeypatch.setattr(problems, "_softmax", counted)
+    return calls
+
+
+@pytest.mark.parametrize("K", [5, 40])
+@pytest.mark.parametrize("mode,per_step", [("bda", 2), ("plain", 1)])
+def test_reverse_hypergradient_computes_each_softmax_once(softmax_calls,
+                                                          mode, per_step, K):
+    # forward: one softmax per split the step reads at each of y_0..y_{K-1},
+    # then the val split at y_K; the backward pass reads them all back
+    problem = _hc_problem(seed=1)
+    x = rng_stream(5).standard_normal(problem.n)
+    hypergrad_reverse(problem, x, K, _HC_SCHED, mode=mode)
+    assert len(softmax_calls) == per_step * K + 1
+
+
+def test_implicit_hypergradient_computes_two_softmaxes(softmax_calls):
+    # grad_y_F reads the val split; every CG product and hess_yx_f the train split
+    problem = _hc_problem(seed=1)
+    rng = rng_stream(6)
+    x, y = rng.standard_normal(problem.n), rng.standard_normal(problem.m)
+    res = hypergrad_implicit(problem, x, y, cg_tol=1e-8)
+    assert res.diagnostics["cg_iterations"] > 2
+    assert len(softmax_calls) == 2
 
 
 def test_hyperclean_optional_ul_ridge():
