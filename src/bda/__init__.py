@@ -18,7 +18,8 @@ from .inner import (AggregationSchedule, InnerTrace, aggregated_step,
                     default_y0, plain_gd_step, run_inner)
 from .hypergrad import (HypergradResult, hypergrad_forward, hypergrad_implicit,
                         hypergrad_onestage, hypergrad_reverse)
-from .outer import METHODS, RunRecord, SolverConfig, outer_step, solve
+from .outer import (METHODS, RunRecord, SolverConfig, outer_step, solve,
+                    solve_many)
 from . import verify
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "make_hypercleaning", "make_lls_quadratic", "make_problem", "make_remark1",
     "make_remark1_regularized", "outer_step", "plain_gd_step",
     "remark1_plain_descent_limit", "rng_stream", "run_inner", "solve",
-    "verify",
+    "solve_many", "verify",
 ]
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ Subcommands:
 All trace files are written atomically and reproduce bit-for-bit under a
 fixed config and seed; wall-clock time is reported only in summary JSON.
 Suites and seed sweeps run their jobs one after another on the calling
-thread.  A ``run`` whose solve ends ``aborted`` still writes every file,
-then exits with the code its error class gets (3 capability, 4 numerical).
+thread; the counterexample suite solves each method's starts as one batch.
+A ``run`` whose solve ends ``aborted`` still writes every file, then exits
+with the code its error class gets (3 capability, 4 numerical).
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ from .inner import AggregationSchedule, run_inner
 from .numerics import (CapabilityError, ContractError, NumericalError,
                        rng_stream, typed_value)
 from .outer import (METHODS, METRIC_COLUMNS, SCHED_KEYS, SOLVER_KEYS,
-                    RunRecord, SolverConfig, config_dict, solve)
+                    RunRecord, SolverConfig, config_dict, solve,
+                    solve_many)
 from .problems import (BilevelProblem, HypercleanConfig, _sigmoid,
                        hyperclean_dataset_rows, make_counterexample,
                        make_hypercleaning, make_lls_quadratic, make_problem,
@@ -241,6 +243,21 @@ def _run_jobs(jobs):
 # suites
 # ---------------------------------------------------------------------------
 
+def _method_list(methods, supported: tuple, suite: str) -> list:
+    """``methods`` as a list, checked: not empty, no repeats, all supported."""
+    methods = list(methods)
+    if not methods:
+        raise ContractError(f"{suite}: the method list is empty")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ContractError(f"{suite}: methods repeated: {repeated}")
+    bad = [m for m in methods if m not in supported]
+    if bad:
+        raise ContractError(f"{suite} supports {'/'.join(supported)}, "
+                            f"got {bad}")
+    return methods
+
+
 def run_experiment(exp: ExperimentConfig) -> list[dict]:
     problem = exp.build_problem()
     os.makedirs(exp.out_dir, exist_ok=True)
@@ -272,14 +289,16 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     traces, an initialization sweep, a projection on/off pair, and an
     alpha-rule sweep.
 
+    Each method solves its starts, the origin and ``num_inits`` random
+    points, as one ``solve_many`` batch: the origin's record gives the
+    method's trace and summary, the others the initialization sweep.
+
     The quartic upper objective tolerates a larger step under the aggregated
     dynamics than under plain unrolling, so the plain-unrolling methods run
     at 0.3 * lam.
     """
-    methods = list(methods)
-    bad = [m for m in methods if m not in ("bda", "rhg", "trhg")]
-    if bad:
-        raise ContractError(f"suite_counterexample supports bda/rhg/trhg, got {bad}")
+    methods = _method_list(methods, ("bda", "rhg", "trhg"),
+                           "suite_counterexample")
     os.makedirs(out, exist_ok=True)
     problem = make_counterexample(n)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
@@ -297,31 +316,25 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     summary: dict = {"n": n, "K": K, "methods": methods,
                      "schedule": config_dict(cfg_for(methods[0]))}
 
-    # per-method traces from the origin
-    def run_method(method):
-        record = solve(problem, cfg_for(method))
-        emit_trace(record, os.path.join(out, f"{method}_trace.csv"))
-        return method, summarize_record(record, problem)
-
-    summary["runs"] = dict(_run_jobs([lambda m=m: run_method(m) for m in methods]))
-
-    # initialization sweep (paired methods, shared random starts)
+    # the origin, then the initialization sweep's shared random starts
     rng = rng_stream(seed)
     inits = 0.75 * (2.0 * rng.random((num_inits, n)) - 1.0)
-    sweep_rows = []
+    starts = np.vstack([np.zeros(n), inits])
 
-    def run_init(i):
-        rows = []
-        for method in methods:
-            record = solve(problem, cfg_for(method), x0=inits[i])
-            rows.append({"init": i, "method": method,
-                         "final_err_x": float(record.metrics["err_x"][-1]),
-                         "status": record.status})
-        return rows
+    def run_method(method):
+        records = solve_many(problem, cfg_for(method), starts)
+        emit_trace(records[0], os.path.join(out, f"{method}_trace.csv"))
+        return records
 
-    for rows in _run_jobs([lambda i=i: run_init(i) for i in range(num_inits)]):
-        sweep_rows.extend(rows)
-
+    records = dict(zip(methods, _run_jobs([lambda m=m: run_method(m)
+                                           for m in methods])))
+    summary["runs"] = {method: summarize_record(records[method][0], problem)
+                       for method in methods}
+    sweep_rows = [{"init": i, "method": method,
+                   "final_err_x": float(records[method][i + 1]
+                                        .metrics["err_x"][-1]),
+                   "status": records[method][i + 1].status}
+                  for i in range(num_inits) for method in methods]
     _write_csv(os.path.join(out, "init_sweep.csv"),
                ["init", "method", "final_err_x", "status"],
                ([row["init"], row["method"], _fmt(row["final_err_x"]),
@@ -435,10 +448,7 @@ def default_hyperclean_solver(problem: BilevelProblem, method: str,
 
 
 def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
-    methods = list(methods)
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise ContractError(f"unknown methods {bad}")
+    methods = _method_list(methods, tuple(METHODS), "suite_hyperclean")
     os.makedirs(out, exist_ok=True)
     problem = make_hypercleaning(cfg)
 

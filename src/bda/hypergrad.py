@@ -57,18 +57,20 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
 
     ``truncate_at`` keeps only the last that many backward steps, treating
     the Jacobian of the earlier iterate as zero (truncated unrolling); None
-    or K means no truncation.
+    or K means no truncation.  On a ``batched`` problem x may be a (B, n)
+    array, as in ``run_inner``: the gradient is then (B, n), one row per row
+    of x, and a non-finite row raises for all of them.
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     if truncate_at is not None and not (0 <= truncate_at <= K):
         raise ContractError("truncate_at must lie in [0, K]")
-    x = as_vector(x, dim=problem.n, name="x")
+    x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
 
     p = np.asarray(problem.grad_y_F(x, y_K), dtype=float)
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float).copy()
     kept = K if truncate_at is None else truncate_at
-    clamped = trace.proj_active.any(axis=1)
+    clamped = trace.proj_active.any(axis=tuple(range(1, y_K.ndim + 1)))
     for k in range(K - 1, K - kept - 1, -1):
         # zeroing nothing would copy p: a step that clamped nothing uses it
         q = np.where(trace.proj_active[k], 0.0, p) if clamped[k] else p

@@ -88,7 +88,8 @@ class AggregationSchedule:
 
 @dataclass
 class InnerTrace:
-    """Per-iteration history of one inner run (ys has K+1 records)."""
+    """Per-iteration history of one inner run (ys has K+1 records).  A run
+    from B rows of x stores (K+1, B, m), (K, B, m) and so on."""
 
     ys: np.ndarray            # (K+1, m)
     z_u: np.ndarray           # (K, m)   y_k - s_u alpha_k grad_y F
@@ -164,25 +165,33 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     plain mode the stored auxiliaries are z_u = y_k (no UL move) and
     z_l = y_{k+1} before projection.  Only gradients are evaluated; the f and
     F values along the run come from ``inner_values`` on request.
+
+    On a ``batched`` problem x may be a (B, n) array: the rows run together,
+    each from its row of a (B, m) y0 or from a shared (m,) one, and one
+    non-finite row raises for all of them.
     """
     if K < 0:
         raise ContractError("run_inner: K must be >= 0")
     if mode not in ("bda", "plain"):
         raise ContractError(f"run_inner: unknown mode '{mode}'")
-    x = as_vector(x, dim=problem.n, name="x")
-    y = default_y0(problem) if y0 is None else \
-        problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
+    x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
+    y = default_y0(problem) if y0 is None else problem.region_y.clamp(
+        as_vector(y0, dim=problem.m, name="y0", rows=problem.batched))
+    if y.shape[:-1] not in ((), x.shape[:-1]):
+        raise ContractError(f"run_inner: y0 of shape {y.shape} does not fit "
+                            f"x of shape {x.shape}")
 
-    m = problem.m
-    ys = np.empty((K + 1, m))
-    z_u = np.empty((K, m))
-    z_l = np.empty((K, m))
+    shape = (*x.shape[:-1], problem.m)
+    ys = np.empty((K + 1, *shape))
+    z_u = np.empty((K, *shape))
+    z_l = np.empty((K, *shape))
     alphas = np.array([sched.alpha(k) for k in range(K)], dtype=float)
     betas = np.array([sched.beta(k) for k in range(K)], dtype=float)
-    proj_active = np.zeros((K, m), dtype=bool)
+    proj_active = np.zeros((K, *shape), dtype=bool)
     aggregated = sched if mode == "bda" else None
 
     ys[0] = y
+    y = ys[0]  # a shared y0 now fills every row
     for k in range(K):
         y_next, z_u[k], z_l[k], pre = _step(problem, x, y, k, sched.s_l,
                                             aggregated, alphas[k], betas[k])

@@ -24,18 +24,20 @@ class NumericalError(ArithmeticError):
     """A computation produced or received non-finite values, or failed to converge."""
 
 
-def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and return ``v`` as a finite 1-D float64 array."""
+def as_vector(v, dim: int | None = None, name: str = "vector",
+              rows: bool = False) -> np.ndarray:
+    """Validate and return ``v`` as a finite 1-D float64 array; with ``rows``,
+    a 2-D array of such vectors, one per row, passes too."""
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError) as err:
         raise ContractError(f"{name}: not an array of floats ({err})") from None
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if arr.ndim != 1:
+    if arr.ndim != 1 and not (rows and arr.ndim == 2):
         raise ContractError(f"{name}: expected a 1-D array, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ContractError(f"{name}: expected dimension {dim}, got {arr.shape[0]}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise ContractError(f"{name}: expected dimension {dim}, got {arr.shape[-1]}")
     if not np.isfinite(arr).all():
         raise NumericalError(f"{name}: non-finite entries")
     return arr

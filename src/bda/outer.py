@@ -2,7 +2,9 @@
 
 One outer iteration runs the configured inner dynamics, forms the method's
 hypergradient, and takes a projected step on x.  Metrics against analytic
-references are recorded whenever the problem supplies them.
+references are recorded whenever the problem supplies them.  ``solve_many``
+is the one loop: it runs several starts side by side, and ``solve`` is its
+one-start case.
 """
 from __future__ import annotations
 
@@ -91,14 +93,14 @@ class RunRecord:
     xs: np.ndarray                 # (T+1, n) outer iterates, x_0 first
     metrics: dict                  # name -> (T,) array, nan when unavailable
     status: str                    # 'converged' | 'max-iters' | 'aborted'
-    wall_time_s: float
+    wall_time_s: float             # of the whole solve_many batch
     y_final: np.ndarray
     # config_dict of the run with the lambda it used (None when the
     # default-step probes failed)
     config: dict
     error: str | None = None
     error_class: str | None = None  # 'CapabilityError' | 'NumericalError'
-    # kept only by solve(keep_inner=True): per outer iteration, a (3, K+1)
+    # kept only with keep_inner=True: per outer iteration, a (3, K+1)
     # array of its inner run's f and F values and projection flags (column
     # k + 1 flags step k; column 0 holds 0)
     inner_rows: list = field(default_factory=list)
@@ -123,7 +125,9 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
 def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
     """Hypergradient of one outer iteration, its inner iterates (ending at
     y_K; for obda, the carried y_t and y_{t+1}) and per-step projection flags.
-    No f or F value is evaluated."""
+    No f or F value is evaluated.  On a batched problem the reverse route
+    also takes (B, n) rows of x and (B, m) rows of y0, giving (B, n), (K+1,
+    B, m) and (K, B) arrays."""
     method = METHODS[cfg.method]
     if method.route == "onestage":  # one aggregated step from the carried y0
         res = hypergrad_onestage(problem, x, y0, cfg.sched)
@@ -138,7 +142,7 @@ def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
                                mode=method.inner, y0=y0)
         res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
                                  cg_max_iter=cfg.cg_max_iter)
-    return res.gradient, trace.ys, trace.proj_active.any(axis=1)
+    return res.gradient, trace.ys, trace.proj_active.any(axis=-1)
 
 
 def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
@@ -165,49 +169,101 @@ def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
 
 def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
           y0=None, keep_inner: bool = False) -> RunRecord:
-    """Run the configured method until the outer step stalls or T_max.
+    """Run the configured method from ``x0`` (default: the origin) until the
+    outer step stalls or T_max: ``solve_many`` with one start."""
+    x0 = np.zeros(problem.n) if x0 is None else \
+        as_vector(x0, dim=problem.n, name="x0")
+    return solve_many(problem, cfg, x0[None], y0=y0, keep_inner=keep_inner)[0]
+
+
+def solve_many(problem: BilevelProblem, cfg: SolverConfig, X0, y0=None,
+               keep_inner: bool = False) -> list[RunRecord]:
+    """Run the configured method from each row of the (B, n) array ``X0``;
+    one record per row, each start stopping on its own.
 
     ``y0`` overrides the fixed inner initialization (default: 0 projected
     onto Y).  For obda the inner state instead persists across outer
     iterations, starting from ``y0``.  f and F are evaluated at y_K only,
     unless ``keep_inner`` asks for their values along every inner run.
+
+    On a ``batched`` problem a method of the reverse route takes the
+    hypergradients of all live starts from one call on their stacked rows;
+    if that call raises, the outer iteration is redone one start at a time,
+    so that only the failing start aborts, with its own message.  Otherwise
+    every start is stepped alone.  Every record's ``wall_time_s`` is the
+    wall time of the whole batch.
     """
     method = METHODS[cfg.method]
     problem.require(*method.requires)
     cfg.sched.require_admissible(problem)
-    x = problem.region_x.project(np.zeros(problem.n) if x0 is None
-                                 else as_vector(x0, dim=problem.n, name="x0"))
+    X0 = as_vector(X0, dim=problem.n, name="x0", rows=True)
+    if X0.ndim != 2:
+        raise ContractError(f"x0: expected a (B, n) array of starts, got "
+                            f"shape {X0.shape}")
     y_start = default_y0(problem) if y0 is None else \
         problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
-    lam = cfg.lam
+    runs = [_Run(problem.region_x.project(x0), y_start, cfg.lam) for x0 in X0]
+    batched = problem.batched and method.route == "reverse"
 
-    xs = [x.copy()]
-    columns = {name: [] for name in METRIC_COLUMNS}
-    inner_rows = []
-    status = "max-iters"
-    error_msg = error_class = None
     start = time.perf_counter()
-    y_K = y_start
+    live = runs
     for _ in range(cfg.T_max):
+        if not live:
+            break
+        steps = [None] * len(live)
+        if batched and len(live) > 1:
+            try:
+                g, ys, active = _method_gradient(
+                    problem, np.array([run.x for run in live]), cfg,
+                    y0=np.array([run.y_start for run in live]))
+                steps = [(g[b], ys[:, b], active[:, b])
+                         for b in range(len(live))]
+            except (NumericalError, CapabilityError):
+                pass  # each start below recomputes its own step
+        live = [run for run, step in zip(live, steps)
+                if run.advance(problem, cfg, step, keep_inner)]
+    wall = time.perf_counter() - start
+    return [run.record(problem, cfg, wall) for run in runs]
+
+
+class _Run:
+    """The state of one start of ``solve_many``."""
+
+    def __init__(self, x, y_start, lam):
+        self.x, self.y_start, self.y_K, self.lam = x, y_start, y_start, lam
+        self.xs = [x.copy()]
+        self.columns = {name: [] for name in METRIC_COLUMNS}
+        self.inner_rows = []
+        self.status = "max-iters"
+        self.error = self.error_class = None
+
+    def advance(self, problem: BilevelProblem, cfg: SolverConfig, step,
+                keep_inner: bool) -> bool:
+        """One outer iteration, from ``step`` = (g, ys, active) when given;
+        whether the run goes on."""
+        x = self.x
         try:
             # resolved here so that a failing probe also aborts with a record
-            if lam is None:
-                lam = default_lambda(problem, cfg, x)
-            g, ys, active = _method_gradient(problem, x, cfg, y0=y_start)
+            if self.lam is None:
+                self.lam = default_lambda(problem, cfg, x)
+            g, ys, active = step if step is not None else \
+                _method_gradient(problem, x, cfg, y0=self.y_start)
             # f and F along the kept inner run, else at y_K alone
             values = inner_values(problem, x, ys if keep_inner else ys[-1:])
-            x_next = outer_step(x, g, lam, problem.region_x)
+            x_next = outer_step(x, g, self.lam, problem.region_x)
         except (NumericalError, CapabilityError) as err:
-            status, error_msg = "aborted", str(err)
-            error_class = ("CapabilityError" if isinstance(err, CapabilityError)
-                           else "NumericalError")
-            break
-        y_K = ys[-1]
-        if method.carries_inner:
-            y_start = y_K
+            self.status, self.error = "aborted", str(err)
+            self.error_class = ("CapabilityError"
+                                if isinstance(err, CapabilityError)
+                                else "NumericalError")
+            return False
+        self.y_K = y_K = ys[-1]
+        if METHODS[cfg.method].carries_inner:
+            self.y_start = y_K
         if keep_inner:
-            inner_rows.append(np.vstack([values, np.r_[False, active]]))
+            self.inner_rows.append(np.vstack([values, np.r_[False, active]]))
         f_K, F_K = values[:, -1]
+        columns = self.columns
         columns["phiK"].append(F_K)
         columns["grad_norm"].append(float(np.linalg.norm(g)))
         columns["err_x"].append(
@@ -223,21 +279,24 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
             abs(F_K - problem.phi_star_of_x(x))
             if problem.phi_star_of_x is not None else np.nan)
         moved = float(np.linalg.norm(x_next - x))
-        x = x_next
-        xs.append(x.copy())
+        self.x = x_next
+        self.xs.append(x_next.copy())
         if moved <= cfg.stop_tol:
-            status = "converged"
-            break
-    wall = time.perf_counter() - start
+            self.status = "converged"
+            return False
+        return True
 
-    metrics = {name: np.asarray(vals, dtype=float)
-               for name, vals in columns.items()}
-    return RunRecord(
-        problem=problem.name, method=cfg.method,
-        xs=np.asarray(xs), metrics=metrics, status=status,
-        wall_time_s=wall, y_final=np.asarray(y_K),
-        config={**config_dict(cfg), "lambda": lam},
-        error=error_msg, error_class=error_class, inner_rows=inner_rows)
+    def record(self, problem: BilevelProblem, cfg: SolverConfig,
+               wall: float) -> RunRecord:
+        metrics = {name: np.asarray(vals, dtype=float)
+                   for name, vals in self.columns.items()}
+        return RunRecord(
+            problem=problem.name, method=cfg.method,
+            xs=np.asarray(self.xs), metrics=metrics, status=self.status,
+            wall_time_s=wall, y_final=np.asarray(self.y_K),
+            config={**config_dict(cfg), "lambda": self.lam},
+            error=self.error, error_class=self.error_class,
+            inner_rows=self.inner_rows)
 
 
 def config_dict(cfg: SolverConfig) -> dict:

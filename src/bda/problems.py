@@ -35,6 +35,10 @@ class BilevelProblem:
     ``hess_yy_f(x, y, v)`` returns (grad_yy f) v, of length m, and
     ``hess_yx_f(x, y, v)`` returns (grad_yx f)' v = grad_x <grad_y f, v>, of
     length n; ``hess_yy_F`` and ``hess_yx_F`` are the same products for F.
+
+    A ``batched`` problem's ten oracles also take (B, n) / (B, m) arrays, one
+    point per row, and answer row by row: ``F`` and ``f`` a (B,) array, the
+    rest (B, n) or (B, m).  Each row equals the 1-D call on that row.
     """
 
     name: str
@@ -63,6 +67,7 @@ class BilevelProblem:
     x_opt: Optional[Array] = None
     y_opt: Optional[Array] = None
     metadata: dict = field(default_factory=dict)
+    batched: bool = False
 
     def require(self, *fields: str) -> None:
         missing = [name for name in fields if getattr(self, name) is None]
@@ -73,6 +78,26 @@ class BilevelProblem:
     def check_point(self, x, y) -> tuple[Array, Array]:
         return (as_vector(x, dim=self.n, name="x"),
                 as_vector(y, dim=self.m, name="y"))
+
+
+def _dot(a, b):
+    """<a, b> of two vectors, or of each row of two (B, k) arrays as a (B, 1)
+    column that scales its row; both give np.dot's bits.  Vectors keep
+    np.dot: its float scales a vector faster than a length-1 array does."""
+    if a.ndim == 1:
+        return np.dot(a, b)
+    return np.vecdot(a, b, keepdims=True)
+
+
+def _per_row(value):
+    """A value oracle that also takes (B, n) / (B, m) rows, by one call per
+    row: a float ** 2 (libm pow) and an array's ** 2 (a product) can round
+    one ulp apart, so a vectorized value would not equal the 1-D one."""
+    def rows(x, y):
+        if np.ndim(y) == 1:
+            return value(x, y)
+        return np.array([value(xb, yb) for xb, yb in zip(x, y)])
+    return rows
 
 
 def product_rows(product: Callable[[Array], Array], m: int) -> Array:
@@ -103,29 +128,31 @@ def make_counterexample(n: int, x_radius: float = 100.0,
     e = np.ones(n)
 
     def split(w):
-        return w[:n], w[n:]
+        return w[..., :n], w[..., n:]
 
+    @_per_row
     def F(x, w):
         y, z = split(w)
         return float(np.dot(x - z, x - z) ** 2 + np.dot(y - e, y - e) ** 2)
 
+    @_per_row
     def f(x, w):
         y, _ = split(w)
         return float(0.5 * np.dot(y, y) - np.dot(x, y))
 
     def grad_x_F(x, w):
         _, z = split(w)
-        return 4.0 * np.dot(x - z, x - z) * (x - z)
+        return 4.0 * _dot(x - z, x - z) * (x - z)
 
     def grad_y_F(x, w):
         y, z = split(w)
-        gy = 4.0 * np.dot(y - e, y - e) * (y - e)
-        gz = 4.0 * np.dot(x - z, x - z) * (z - x)
-        return np.concatenate([gy, gz])
+        gy = 4.0 * _dot(y - e, y - e) * (y - e)
+        gz = 4.0 * _dot(x - z, x - z) * (z - x)
+        return np.concatenate([gy, gz], axis=-1)
 
     def grad_y_f(x, w):
         y, _ = split(w)
-        return np.concatenate([y - x, np.zeros(n)])
+        return np.concatenate([y - x, np.zeros(y.shape)], axis=-1)
 
     def grad_x_f(x, w):
         y, _ = split(w)
@@ -137,18 +164,18 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         dy = y - e
         dz = z - x
         return 4.0 * np.concatenate(
-            [np.dot(dy, dy) * vy + 2.0 * np.dot(dy, vy) * dy,
-             np.dot(dz, dz) * vz + 2.0 * np.dot(dz, vz) * dz])
+            [_dot(dy, dy) * vy + 2.0 * _dot(dy, vy) * dy,
+             _dot(dz, dz) * vz + 2.0 * _dot(dz, vz) * dz], axis=-1)
 
     def hess_yx_F(x, w, v):
         _, z = split(w)
         _, vz = split(v)
         d = x - z
-        return -8.0 * np.dot(d, vz) * d - 4.0 * np.dot(d, d) * vz
+        return -8.0 * _dot(d, vz) * d - 4.0 * _dot(d, d) * vz
 
     def hess_yy_f(x, w, v):
         vy, _ = split(v)
-        return np.concatenate([vy, np.zeros(n)])
+        return np.concatenate([vy, np.zeros(vy.shape)], axis=-1)
 
     def hess_yx_f(x, w, v):
         vy, _ = split(v)
@@ -185,6 +212,7 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=e.copy(), y_opt=np.concatenate([e, e]),
+        batched=True,
     )
 
 

@@ -253,13 +253,16 @@ def test_config_dict_loads_back_as_the_same_solver_config(tmp_path,
                                                           monkeypatch):
     # the bda/rhg/trhg/obda configs the two suites build
     built = []
-    real_solve = bda.harness.solve
 
-    def recording_solve(problem, cfg, **kwargs):
-        built.append(cfg)
-        return real_solve(problem, cfg, **kwargs)
+    def recording(solver):
+        def run(problem, cfg, *args, **kwargs):
+            built.append(cfg)
+            return solver(problem, cfg, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(bda.harness, "solve", recording_solve)
+    for name in ("solve", "solve_many"):
+        monkeypatch.setattr(bda.harness, name,
+                            recording(getattr(bda.harness, name)))
     suite_counterexample(2, 2, ["bda", "rhg", "trhg"], str(tmp_path / "ce"),
                          T_max=2, num_inits=1)
     problem = make_hypercleaning(HypercleanConfig(seed=1))
@@ -562,6 +565,21 @@ def test_suite_counterexample_rejects_unknown_methods(tmp_path):
         suite_counterexample(2, 5, ["ihg"], str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize("methods", ["", "bda,bda", "rhg,bda,rhg"])
+def test_suite_counterexample_rejects_empty_or_repeated_methods(tmp_path,
+                                                                capsys,
+                                                                methods):
+    # an empty list died on methods[0]; a repeat overwrote its own summary
+    out = tmp_path / "ce"
+    with pytest.raises(ContractError, match="empty|repeated"):
+        suite_counterexample(2, 2, [m for m in methods.split(",") if m],
+                             str(out), T_max=2, num_inits=1)
+    assert cli_main(["counterexample", "--n", "2", "--K", "2", "--methods",
+                     methods, "--T-max", "2", "--out", str(out)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # hyper-cleaning suite
 # ---------------------------------------------------------------------------
@@ -585,6 +603,22 @@ def test_zero_corruption_methods_match_baseline(tmp_path):
                                                           seed=1))
         mets = hyperclean_metrics(problem, record.x_final, record.y_final)
         assert abs(mets["val_acc"] - base["val_acc"]) <= 0.01
+
+
+@pytest.mark.parametrize("methods", ["", "bda,bda", "ihg,obda,ihg"])
+def test_suite_hyperclean_rejects_empty_or_repeated_methods(tmp_path, capsys,
+                                                            methods):
+    # an empty list wrote a table of the baseline alone and exited 0
+    out = tmp_path / "hc"
+    cfg = HypercleanConfig(seed=1)
+    with pytest.raises(ContractError, match="empty|repeated"):
+        suite_hyperclean(cfg, [m for m in methods.split(",") if m], str(out))
+    cfg_path = tmp_path / "hc.json"
+    cfg_path.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+    assert cli_main(["hyperclean", "--config", str(cfg_path), "--methods",
+                     methods, "--out", str(out)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.slow

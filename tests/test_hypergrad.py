@@ -102,6 +102,50 @@ def test_reverse_equals_forward_through_clamping_box(n, m, seed, K, mode):
     assert np.linalg.norm(gr - gf) <= 1e-10 * max(np.linalg.norm(gr), 1e-12)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(n=st.integers(1, 5), rows=st.integers(1, 4),
+       mode=st.sampled_from(["bda", "plain"]),
+       truncate_at=st.sampled_from([None, 0, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reverse_on_rows_equals_each_row_alone(n, rows, mode, truncate_at,
+                                               seed):
+    # a tight box clamps some steps of some rows only
+    p = make_counterexample(n, y_radius=0.6)
+    sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
+    rng = rng_stream(seed)
+    X = 1.5 * rng.standard_normal((rows, n))
+    Y0 = 0.5 * rng.standard_normal((rows, 2 * n))
+    res = hypergrad_reverse(p, X, 6, sched, mode=mode,
+                            truncate_at=truncate_at, y0=Y0)
+    trace = res.diagnostics["trace"]
+    assert res.gradient.shape == (rows, n)
+    assert trace.ys.shape == (7, rows, 2 * n)
+    assert trace.proj_active.shape == (6, rows, 2 * n)
+    for b in range(rows):
+        alone = hypergrad_reverse(p, X[b], 6, sched, mode=mode,
+                                  truncate_at=truncate_at, y0=Y0[b])
+        np.testing.assert_array_equal(res.gradient[b], alone.gradient)
+        for name in ("ys", "z_u", "z_l", "proj_active"):
+            np.testing.assert_array_equal(
+                getattr(trace, name)[:, b],
+                getattr(alone.diagnostics["trace"], name))
+    # one y0 is shared by every row
+    y_K, shared = run_inner(p, X, 6, sched, mode=mode, y0=Y0[0])
+    np.testing.assert_array_equal(y_K[0], trace.ys[-1, 0])
+    assert (shared.ys[0] == Y0[0].clip(-0.6, 0.6)).all()
+
+
+def test_rows_need_a_batched_problem_and_matching_y0_rows():
+    sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
+    with pytest.raises(ContractError, match="1-D"):
+        run_inner(make_remark1(), np.zeros((2, 1)), 3, sched)
+    with pytest.raises(ContractError, match="1-D"):
+        hypergrad_reverse(make_remark1(), np.zeros((2, 1)), 3, sched)
+    with pytest.raises(ContractError, match="does not fit"):
+        run_inner(make_counterexample(2), np.zeros((3, 2)), 3, sched,
+                  y0=np.zeros((2, 4)))
+
+
 def test_forward_zero_horizon():
     q = make_lls_quadratic(2, 3, seed=2)
     sched = AggregationSchedule(mu=0.2, s_u=0.1, s_l=0.1)

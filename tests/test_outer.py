@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bda.outer
 from bda.hypergrad import hypergrad_onestage
 from bda.inner import AggregationSchedule, default_y0, run_inner
-from bda.numerics import BoxRegion, CapabilityError, ContractError
-from bda.outer import SolverConfig, outer_step, solve
+from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
+from bda.outer import SolverConfig, outer_step, solve, solve_many
 from bda.problems import (make_counterexample, make_lls_quadratic,
                           make_remark1, remark1_plain_descent_limit)
 
@@ -292,3 +294,117 @@ def test_kept_inner_rows_match_values_at_the_inner_iterates():
         assert rows[2, 1] == (res.diagnostics["branch"] == "projected")
         y = y_next
     assert any(rows[2, 1] for rows in record.inner_rows)
+
+
+# ---------------------------------------------------------------------------
+# solve_many: several starts side by side
+# ---------------------------------------------------------------------------
+
+CE_SCHED = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
+                               alpha_rule="harmonic", alpha_scale=0.5)
+
+
+def _ce_config(method):
+    # stop_tol lets the starts converge at different iterations
+    return SolverConfig(method=method, K=5, lam=0.05, T_max=60,
+                        sched=CE_SCHED, stop_tol=1e-3,
+                        truncate_at=2 if method == "trhg" else None)
+
+
+def _assert_same_run(record, solo, rtol):
+    assert (record.status, record.T, record.error_class, record.error) == \
+        (solo.status, solo.T, solo.error_class, solo.error)
+    assert len(record.inner_rows) == len(solo.inner_rows)
+    for rows, solo_rows in zip(record.inner_rows, solo.inner_rows):
+        np.testing.assert_allclose(rows, solo_rows, rtol=rtol, atol=0)
+    np.testing.assert_allclose(record.xs, solo.xs, rtol=rtol, atol=0)
+    np.testing.assert_allclose(record.y_final, solo.y_final, rtol=rtol, atol=0)
+    for name, vals in solo.metrics.items():
+        np.testing.assert_allclose(record.metrics[name], vals, rtol=rtol,
+                                   atol=0, equal_nan=True, err_msg=name)
+
+
+def _batch_sizes(monkeypatch):
+    """The number of rows of each x the reverse route is called on."""
+    sizes = []
+    reverse = bda.outer.hypergrad_reverse
+
+    def recording(problem, x, *args, **kwargs):
+        sizes.append(len(x) if np.ndim(x) == 2 else 0)
+        return reverse(problem, x, *args, **kwargs)
+
+    monkeypatch.setattr(bda.outer, "hypergrad_reverse", recording)
+    return sizes
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(method=st.sampled_from(["bda", "rhg", "trhg"]), n=st.integers(1, 5),
+       rows=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_many_matches_solo_solves_and_repeats(method, n, rows, seed):
+    # the tight LL box clamps some rows' inner steps and not others'
+    p = make_counterexample(n, y_radius=0.3)
+    X = rng_stream(seed).uniform(-1.0, 1.0, (rows, n))
+    cfg = _ce_config(method)
+    with pytest.MonkeyPatch.context() as patch:
+        sizes = _batch_sizes(patch)
+        records = solve_many(p, cfg, X, keep_inner=True)
+    assert sizes[0] == rows  # the live starts went in one call
+    for record, x0 in zip(records, X):
+        _assert_same_run(record, solve(p, cfg, x0=x0, keep_inner=True),
+                         rtol=1e-12)
+    again = solve_many(p, cfg, X, keep_inner=True)
+    for record, other in zip(records, again):
+        assert record.xs.tobytes() == other.xs.tobytes()
+        assert record.y_final.tobytes() == other.y_final.tobytes()
+        for name, vals in record.metrics.items():
+            assert vals.tobytes() == other.metrics[name].tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(method=st.sampled_from(["bda", "rhg", "trhg"]), n=st.integers(1, 5),
+       rows=st.integers(2, 4), bad=st.integers(0, 3),
+       scale=st.floats(30.0, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_many_aborts_only_the_diverging_start(method, n, rows, bad,
+                                                    scale, seed):
+    # a wide x box lets the quartic run away from one far start
+    p = make_counterexample(n, x_radius=1e300)
+    X = rng_stream(seed).uniform(-1.0, 1.0, (rows, n))
+    bad %= rows
+    X[bad] = scale
+    cfg = _ce_config(method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = solve_many(p, cfg, X)
+        solos = [solve(p, cfg, x0=x0) for x0 in X]
+    assert [r.status == "aborted" for r in records] == \
+        [b == bad for b in range(rows)]
+    for record, solo in zip(records, solos):
+        _assert_same_run(record, solo, rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["bda", "rhg", "ihg", "obda"])
+def test_solve_many_on_an_unbatched_problem_equals_solve_bitwise(method):
+    # remark1 is not batched: every start runs alone, with solve's arithmetic;
+    # ihg aborts on its singular Hessian, and no lambda runs the probes
+    p = make_remark1()
+    X = np.array([[0.0], [0.8], [-1.5]])
+    for lam in (0.5, None):
+        cfg = SolverConfig(method=method, K=1 if method == "obda" else 10,
+                           lam=lam, T_max=40, sched=SCHED, stop_tol=1e-10)
+        for record, x0 in zip(solve_many(p, cfg, X, keep_inner=True), X):
+            solo = solve(p, cfg, x0=x0, keep_inner=True)
+            assert (record.status, record.error, record.config) == \
+                (solo.status, solo.error, solo.config)
+            assert record.xs.tobytes() == solo.xs.tobytes()
+            assert record.y_final.tobytes() == solo.y_final.tobytes()
+            for name, vals in solo.metrics.items():
+                assert record.metrics[name].tobytes() == vals.tobytes()
+            assert [r.tobytes() for r in record.inner_rows] == \
+                [r.tobytes() for r in solo.inner_rows]
+
+
+def test_solve_many_takes_rows_of_starts():
+    cfg = SolverConfig(method="rhg", K=5, lam=0.5, T_max=3, sched=SCHED)
+    with pytest.raises(ContractError, match="B, n"):
+        solve_many(make_remark1(), cfg, np.zeros(1))
+    with pytest.raises(ContractError, match="dimension 1"):
+        solve_many(make_remark1(), cfg, np.zeros((2, 3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -33,8 +34,36 @@ ALL_PROBLEMS = [
                                         corruption_fraction=0.25, seed=3)),
 ]
 
+ORACLES = ("F", "f", "grad_x_F", "grad_y_F", "grad_y_f", "grad_x_f",
+           "hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
 
-@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
+
+def _in_rows(problem, rows=3, at=1):
+    """``problem`` whose oracles answer from row ``at`` of one call on
+    ``rows`` stacked points, the other rows random: the batched oracles,
+    seen through the 1-D contract."""
+    rng = rng_stream(7)
+    fill = (rng.standard_normal((rows, problem.n)),
+            rng.standard_normal((rows, problem.m)),
+            rng.standard_normal((rows, problem.m)))
+
+    def row_of(fn):
+        def call(*args):
+            stacked = [np.vstack([other[:at], [arg], other[at + 1:]])
+                       for arg, other in zip(args, fill)]
+            return fn(*stacked)[at]
+        return call
+
+    return dataclasses.replace(
+        problem, name=f"{problem.name}-rows",
+        **{name: row_of(getattr(problem, name)) for name in ORACLES})
+
+
+# every problem through its 1-D oracles, and the batched one through its rows
+ORACLE_CASES = [*ALL_PROBLEMS, _in_rows(make_counterexample(2))]
+
+
+@pytest.mark.parametrize("problem", ORACLE_CASES, ids=lambda p: p.name)
 def test_declared_gradients_match_finite_differences(problem):
     rng = rng_stream(11)
     for _ in range(3):
@@ -54,7 +83,7 @@ def test_declared_gradients_match_finite_differences(problem):
             assert np.linalg.norm(np.asarray(declared) - fd) / denom <= 1e-5
 
 
-@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
+@pytest.mark.parametrize("problem", ORACLE_CASES, ids=lambda p: p.name)
 def test_declared_hessians_match_finite_differences(problem):
     # each product against its central-difference Jacobian times a random v
     rng = rng_stream(5)
@@ -83,7 +112,7 @@ def test_declared_hessians_match_finite_differences(problem):
         assert np.linalg.norm(np.asarray(declared) - fd) / denom <= 1e-4
 
 
-@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
+@pytest.mark.parametrize("problem", ORACLE_CASES, ids=lambda p: p.name)
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_hessian_products_are_symmetric(problem, seed):
@@ -133,6 +162,29 @@ def test_hyperclean_products_match_dense_hessian():
 # ---------------------------------------------------------------------------
 # counter-example
 # ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n=st.integers(1, 6), rows=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_counterexample_oracles_answer_row_by_row(n, rows, seed):
+    # each row of a call on (B, .) arrays is the 1-D call on that row, bit
+    # for bit; F and f give a (B,) array
+    p = make_counterexample(n)
+    assert p.batched
+    rng = rng_stream(seed)
+    X = 2.0 * rng.standard_normal((rows, n))
+    Y, V = 2.0 * rng.standard_normal((2, rows, 2 * n))
+    shapes = {"F": (rows,), "f": (rows,), "grad_x_F": (rows, n),
+              "grad_x_f": (rows, n), "hess_yx_f": (rows, n),
+              "hess_yx_F": (rows, n)}
+    for name in ORACLES:
+        args = (X, Y, V) if name.startswith("hess_") else (X, Y)
+        out = getattr(p, name)(*args)
+        assert np.shape(out) == shapes.get(name, (rows, 2 * n)), name
+        for b in range(rows):
+            alone = getattr(p, name)(*(a[b] for a in args))
+            np.testing.assert_array_equal(out[b], alone, err_msg=name)
+
 
 def test_counterexample_global_optimum():
     p = make_counterexample(3)
