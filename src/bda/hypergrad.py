@@ -15,7 +15,7 @@ import numpy as np
 
 from .inner import AggregationSchedule, run_inner
 from .numerics import CapabilityError, ContractError, NumericalError, as_vector
-from .problems import BilevelProblem, product_rows
+from .problems import BilevelProblem, matvec, product_rows
 
 
 @dataclass
@@ -87,9 +87,14 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
 def hypergrad_forward(problem: BilevelProblem, x, K: int,
                       sched: AggregationSchedule, mode: str = "bda",
                       strict_projection: bool = True) -> HypergradResult:
-    """Forward propagation of the iterate Jacobian d y_k / d x."""
+    """Forward propagation of the iterate Jacobian d y_k / d x.
+
+    On a ``batched`` problem x may be a (B, n) array, as in ``run_inner``:
+    the Jacobian is then (B, m, n), the gradient (B, n), each row with the
+    bits of that row alone; a clamped or non-finite row raises for all.
+    """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
-    x = as_vector(x, dim=problem.n, name="x")
+    x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode)
     if strict_projection and trace.proj_active.any():
         raise CapabilityError(
@@ -97,15 +102,17 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
             "strict_projection=False to use the clamped-row convention")
 
     # J <- (du/dy) J + du/dx: n yy-products on J's columns, m yx-products for du/dx
-    J = np.zeros((problem.m, problem.n))
+    rows = x.shape[:-1]
+    J = np.zeros((*rows, problem.m, problem.n))
     for k in range(K):
         yy, yx = _step_products(problem, x, trace.ys[k], mode,
                                 trace.alphas[k], trace.betas[k], sched)
-        J = J - np.column_stack([yy(col) for col in J.T]) \
-            - product_rows(yx, problem.m)
+        J = J - np.stack([yy(J[..., j]) for j in range(problem.n)], axis=-1) \
+            - product_rows(yx, problem.m, rows)
         J[trace.proj_active[k]] = 0.0
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float) \
-        + J.T @ np.asarray(problem.grad_y_F(x, y_K), dtype=float)
+        + matvec(np.swapaxes(J, -1, -2),
+                 np.asarray(problem.grad_y_F(x, y_K), dtype=float))
     if not np.isfinite(g).all():
         raise NumericalError("forward hypergradient is non-finite")
     return HypergradResult(

@@ -100,10 +100,24 @@ def _per_row(value):
     return rows
 
 
-def product_rows(product: Callable[[Array], Array], m: int) -> Array:
+def matvec(M, v):
+    """M v for a vector v, or for each row of a (B, k) v as a (B, .) array,
+    with M one matrix or a (B, ., k) stack of them.  Rows go through the
+    stacked matmul, which gives the bits of ``M @ v`` on each row (einsum and
+    ``v @ M.T`` do not); vectors keep ``M @ v``, which skips its reshapes."""
+    if v.ndim == 1:
+        return M @ v
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def product_rows(product: Callable[[Array], Array], m: int,
+                 rows: tuple = ()) -> Array:
     """Matrix of rows ``product(e_i)`` over the unit vectors of R^m (m calls):
-    the symmetric m x m Hessian for a yy product, the m x n block for yx."""
-    return np.array([product(e) for e in np.eye(m)])
+    the symmetric m x m Hessian for a yy product, the m x n block for yx.
+    With ``rows`` = (B,), each e_i is broadcast to B rows, for a product on
+    B stacked points, and the result is (B, m, .), one matrix per point."""
+    units = np.broadcast_to(np.eye(m), (*rows, m, m))
+    return np.stack([product(units[..., i, :]) for i in range(m)], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +385,11 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
     # global x minimizer of phi(x) = ||Mx - b||^2/2 + rho ||x||^2/2
     x_opt = np.linalg.solve(M.T @ M + rho * np.eye(n), M.T @ b)
 
+    @_per_row
     def F(x, y):
         return float(0.5 * np.dot(y - b, y - b) + 0.5 * rho * np.dot(x, x))
 
+    @_per_row
     def f(x, y):
         return float(0.5 * np.dot(y, A @ y) - np.dot(B @ x, y))
 
@@ -384,22 +400,22 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         return y - b
 
     def grad_y_f(x, y):
-        return A @ y - B @ x
+        return matvec(A, y) - matvec(B, x)
 
     def grad_x_f(x, y):
-        return -(B.T @ y)
+        return -matvec(B.T, y)
 
     def hess_yy_F(x, y, v):
         return np.array(v, dtype=float)
 
     def hess_yx_F(x, y, v):
-        return np.zeros(n)
+        return np.zeros(np.shape(x))
 
     def hess_yy_f(x, y, v):
-        return A @ v
+        return matvec(A, v)
 
     def hess_yx_f(x, y, v):
-        return -(B.T @ v)
+        return -matvec(B.T, v)
 
     def y_star_of_x(x):
         return M @ as_vector(x, dim=n, name="x")
@@ -433,6 +449,7 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=x_opt, y_opt=M @ x_opt,
         metadata={"A": A},
+        batched=True,
     )
 
 

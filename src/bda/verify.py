@@ -417,16 +417,25 @@ def check_nonexpansive(problem: BilevelProblem, x, trace: InnerTrace) -> CheckRe
 def check_stationarity(problem: BilevelProblem, grid, sched: AggregationSchedule,
                        k_list) -> np.ndarray:
     """Sup over the grid of |unrolled hypergradient - analytic grad phi| for
-    each horizon in k_list (forward propagation over the aggregated dynamics)."""
+    each horizon in k_list (forward propagation over the aggregated dynamics).
+
+    The grid points are the rows of one ``hypergrad_forward`` call per
+    horizon, so the problem must be ``batched``; each row has the bits of
+    its point run alone.  An empty grid or k_list is a ContractError: a sup
+    over nothing would pass any bound."""
     problem.require("grad_phi_of_x")
+    if not problem.batched:
+        raise CapabilityError(
+            f"problem '{problem.name}' is not batched: the stationarity audit "
+            f"runs its grid as rows")
+    points = [as_vector(x, dim=problem.n, name="x") for x in grid]
+    horizons = [int(K) for K in k_list]
+    if not points or not horizons:
+        raise ContractError("check_stationarity: empty grid or k_list")
+    X = np.array(points)
+    exact = np.array([problem.grad_phi_of_x(x) for x in points], dtype=float)
     sup_errors = []
-    for K in k_list:
-        worst = 0.0
-        for x in grid:
-            x = as_vector(x, dim=problem.n, name="x")
-            approx = hypergrad_forward(problem, x, int(K), sched,
-                                       mode="bda").gradient
-            exact = np.asarray(problem.grad_phi_of_x(x), dtype=float)
-            worst = max(worst, float(np.linalg.norm(approx - exact)))
-        sup_errors.append(worst)
+    for K in horizons:
+        approx = hypergrad_forward(problem, X, K, sched, mode="bda").gradient
+        sup_errors.append(max(float(np.linalg.norm(d)) for d in approx - exact))
     return np.asarray(sup_errors)

@@ -141,9 +141,52 @@ def test_rows_need_a_batched_problem_and_matching_y0_rows():
         run_inner(make_remark1(), np.zeros((2, 1)), 3, sched)
     with pytest.raises(ContractError, match="1-D"):
         hypergrad_reverse(make_remark1(), np.zeros((2, 1)), 3, sched)
+    with pytest.raises(ContractError, match="1-D"):
+        hypergrad_forward(make_remark1(), np.zeros((2, 1)), 3, sched)
     with pytest.raises(ContractError, match="does not fit"):
         run_inner(make_counterexample(2), np.zeros((3, 2)), 3, sched,
                   y0=np.zeros((2, 4)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(clamped=st.booleans(), n=st.integers(1, 4), rows=st.integers(1, 4),
+       mode=st.sampled_from(["bda", "plain"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_on_rows_equals_each_row_alone(clamped, n, rows, mode, seed):
+    # the counterexample's tight box clamps some steps of some rows only;
+    # lls_quadratic runs unclamped, under the strict default
+    if clamped:
+        p = make_counterexample(n, y_radius=0.6)
+    else:
+        p = make_lls_quadratic(n, n + 2, seed=seed)
+    sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
+    X = 1.5 * rng_stream(seed).standard_normal((rows, n))
+    res = hypergrad_forward(p, X, 6, sched, mode=mode,
+                            strict_projection=not clamped)
+    assert res.gradient.shape == (rows, n)
+    hits = []
+    for b in range(rows):
+        alone = hypergrad_forward(p, X[b], 6, sched, mode=mode,
+                                  strict_projection=not clamped)
+        np.testing.assert_array_equal(res.gradient[b], alone.gradient)
+        hits.append(alone.diagnostics["projection_hit"])
+    assert res.diagnostics["projection_hit"] == any(hits)
+
+
+def test_forward_on_rows_mixes_clamped_and_free_rows():
+    # row 1 clamps and row 0 does not; each keeps its own bits, and under
+    # the strict default the one clamped row raises for both
+    p = make_counterexample(2, y_radius=0.6)
+    sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
+    X = np.array([[0.1, -0.2], [1.5, 2.0]])
+    res = hypergrad_forward(p, X, 6, sched, strict_projection=False)
+    alone = [hypergrad_forward(p, x, 6, sched, strict_projection=False)
+             for x in X]
+    assert [a.diagnostics["projection_hit"] for a in alone] == [False, True]
+    for row, a in zip(res.gradient, alone):
+        np.testing.assert_array_equal(row, a.gradient)
+    with pytest.raises(CapabilityError, match="projection"):
+        hypergrad_forward(p, X, 6, sched)
 
 
 def test_forward_zero_horizon():

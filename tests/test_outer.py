@@ -337,12 +337,20 @@ def _batch_sizes(monkeypatch):
     return sizes
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=15)
-@given(method=st.sampled_from(["bda", "rhg", "trhg"]), n=st.integers(1, 5),
-       rows=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
-def test_solve_many_matches_solo_solves_and_repeats(method, n, rows, seed):
+def _boxed_lls(n, seed):
+    # as lls_quadratic(..., y_radius=0.3) would build it
+    return dataclasses.replace(make_lls_quadratic(n, n + 2, seed),
+                               region_y=BoxRegion.cube(n + 2, -0.3, 0.3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(lls=st.booleans(), method=st.sampled_from(["bda", "rhg", "trhg"]),
+       n=st.integers(1, 5), rows=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_many_matches_solo_solves_and_repeats(lls, method, n, rows,
+                                                    seed):
     # the tight LL box clamps some rows' inner steps and not others'
-    p = make_counterexample(n, y_radius=0.3)
+    p = _boxed_lls(n, seed) if lls else make_counterexample(n, y_radius=0.3)
     X = rng_stream(seed).uniform(-1.0, 1.0, (rows, n))
     cfg = _ce_config(method)
     with pytest.MonkeyPatch.context() as patch:

@@ -38,10 +38,10 @@ ORACLES = ("F", "f", "grad_x_F", "grad_y_F", "grad_y_f", "grad_x_f",
            "hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
 
 
-def _in_rows(problem, rows=3, at=1):
-    """``problem`` whose oracles answer from row ``at`` of one call on
-    ``rows`` stacked points, the other rows random: the batched oracles,
-    seen through the 1-D contract."""
+def _in_rows(problem, label=None, rows=3, at=1):
+    """``problem``, named ``<label>-rows``, whose oracles answer from row
+    ``at`` of one call on ``rows`` stacked points, the other rows random: the
+    batched oracles, seen through the 1-D contract."""
     rng = rng_stream(7)
     fill = (rng.standard_normal((rows, problem.n)),
             rng.standard_normal((rows, problem.m)),
@@ -55,12 +55,13 @@ def _in_rows(problem, rows=3, at=1):
         return call
 
     return dataclasses.replace(
-        problem, name=f"{problem.name}-rows",
+        problem, name=f"{label or problem.name}-rows",
         **{name: row_of(getattr(problem, name)) for name in ORACLES})
 
 
-# every problem through its 1-D oracles, and the batched one through its rows
-ORACLE_CASES = [*ALL_PROBLEMS, _in_rows(make_counterexample(2))]
+# every problem through its 1-D oracles, and the batched ones through rows
+ORACLE_CASES = [*ALL_PROBLEMS, _in_rows(make_counterexample(2)),
+                _in_rows(make_lls_quadratic(2, 3, seed=1), "lls")]
 
 
 @pytest.mark.parametrize("problem", ORACLE_CASES, ids=lambda p: p.name)
@@ -163,24 +164,30 @@ def test_hyperclean_products_match_dense_hessian():
 # counter-example
 # ---------------------------------------------------------------------------
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(n=st.integers(1, 6), rows=st.integers(1, 5),
+# the batched problems, each drawn at LL dimension 2n or m
+BATCHED = {"counterexample": lambda n, m, seed: make_counterexample(n),
+           "lls": make_lls_quadratic}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(kind=st.sampled_from(sorted(BATCHED)), n=st.integers(1, 6),
+       m=st.integers(1, 8), rows=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_counterexample_oracles_answer_row_by_row(n, rows, seed):
+def test_counterexample_oracles_answer_row_by_row(kind, n, m, rows, seed):
     # each row of a call on (B, .) arrays is the 1-D call on that row, bit
-    # for bit; F and f give a (B,) array
-    p = make_counterexample(n)
+    # for bit; F and f give a (B,) array.  lls_quadratic answers the same way
+    p = BATCHED[kind](n, m, seed)
     assert p.batched
     rng = rng_stream(seed)
-    X = 2.0 * rng.standard_normal((rows, n))
-    Y, V = 2.0 * rng.standard_normal((2, rows, 2 * n))
-    shapes = {"F": (rows,), "f": (rows,), "grad_x_F": (rows, n),
-              "grad_x_f": (rows, n), "hess_yx_f": (rows, n),
-              "hess_yx_F": (rows, n)}
+    X = 2.0 * rng.standard_normal((rows, p.n))
+    Y, V = 2.0 * rng.standard_normal((2, rows, p.m))
+    shapes = {"F": (rows,), "f": (rows,), "grad_x_F": (rows, p.n),
+              "grad_x_f": (rows, p.n), "hess_yx_f": (rows, p.n),
+              "hess_yx_F": (rows, p.n)}
     for name in ORACLES:
         args = (X, Y, V) if name.startswith("hess_") else (X, Y)
         out = getattr(p, name)(*args)
-        assert np.shape(out) == shapes.get(name, (rows, 2 * n)), name
+        assert np.shape(out) == shapes.get(name, (rows, p.m)), name
         for b in range(rows):
             alone = getattr(p, name)(*(a[b] for a in args))
             np.testing.assert_array_equal(out[b], alone, err_msg=name)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bda.hypergrad import hypergrad_reverse
+from bda.hypergrad import hypergrad_forward, hypergrad_reverse
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import CapabilityError, ContractError
 from bda.problems import (lls_quadratic, make_counterexample,
@@ -227,6 +227,40 @@ def test_stationarity_errors_decrease():
     grid = [np.array([t]) for t in np.linspace(-2, 2, 5)]
     errs = check_stationarity(p, grid, sched, [10, 100, 400])
     assert errs[2] < errs[1] < errs[0]
+
+
+def _criterion7():
+    # the problem, schedule and grid of acceptance criterion 7
+    p = make_lls_quadratic(1, 2, seed=3)
+    s = 0.5 / max(p.L_F, p.L_f)
+    sched = AggregationSchedule(mu=0.1, s_u=s, s_l=s, alpha_rule="harmonic")
+    return p, sched, [np.array([t]) for t in np.linspace(-2.0, 2.0, 11)]
+
+
+def test_stationarity_rows_equal_the_per_point_loop():
+    # the audit before its grid ran as rows: one forward call per point
+    p, sched, grid = _criterion7()
+    k_list = [10, 1000]
+    expected = [max(float(np.linalg.norm(
+        hypergrad_forward(p, x, K, sched, mode="bda").gradient
+        - p.grad_phi_of_x(x))) for x in grid) for K in k_list]
+    errs = check_stationarity(p, grid, sched, k_list)
+    assert errs.tobytes() == np.array(expected).tobytes()
+
+
+def test_stationarity_needs_a_batched_problem():
+    sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
+    with pytest.raises(CapabilityError, match="batched"):
+        check_stationarity(make_remark1(), [np.array([0.5])], sched, [10])
+
+
+def test_stationarity_rejects_an_empty_grid_or_horizon_list():
+    # a sup over no point or no horizon would pass the suite's bound
+    p, sched, grid = _criterion7()
+    with pytest.raises(ContractError, match="empty"):
+        check_stationarity(p, [], sched, [10, 1000])
+    with pytest.raises(ContractError, match="empty"):
+        check_stationarity(p, grid, sched, [])
 
 
 # ---------------------------------------------------------------------------
