@@ -11,7 +11,8 @@ Subcommands:
 All trace files are written atomically and reproduce bit-for-bit under a
 fixed config and seed; wall-clock time is reported only in summary JSON.
 Suites and seed sweeps run their jobs one after another on the calling
-thread; the counterexample suite solves each method's starts as one batch.
+thread; the counterexample suite solves each method's starts as one batch,
+and its alpha sweep as three more rows of bda's batch.
 A ``run`` whose solve ends ``aborted`` still writes every file, then exits
 with the code its error class gets (3 capability, 4 numerical).
 """
@@ -291,7 +292,10 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
 
     Each method solves its starts, the origin and ``num_inits`` random
     points, as one ``solve_many`` batch: the origin's record gives the
-    method's trace and summary, the others the initialization sweep.
+    method's trace and summary, the others the initialization sweep.  The
+    alpha sweep's runs (zero / constant / harmonic alpha, heavier UL mixing,
+    from the origin) are three more rows of bda's batch, each under its own
+    schedule.
 
     The quartic upper objective tolerates a larger step under the aggregated
     dynamics than under plain unrolling, so the plain-unrolling methods run
@@ -299,6 +303,8 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     """
     methods = _method_list(methods, ("bda", "rhg", "trhg"),
                            "suite_counterexample")
+    if typed_value("num_inits", num_inits, int) < 0:
+        raise ContractError(f"num_inits must be >= 0, got {num_inits}")
     os.makedirs(out, exist_ok=True)
     problem = make_counterexample(n)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
@@ -321,8 +327,20 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     inits = 0.75 * (2.0 * rng.random((num_inits, n)) - 1.0)
     starts = np.vstack([np.zeros(n), inits])
 
+    # the alpha sweep: label, alpha_rule, alpha_scale
+    alpha_sweep = (("alpha_zero", "constant", 0.0),
+                   ("alpha_const_0.5", "constant", 0.5),
+                   ("alpha_adaptive_0.5_over_k", "harmonic", 0.5))
+    alpha_cfgs = [cfg_for("bda", sched=AggregationSchedule(
+        mu=0.5, s_u=0.1, s_l=0.1, alpha_rule=rule, alpha_scale=scale))
+        for _, rule, scale in alpha_sweep]
+
     def run_method(method):
-        records = solve_many(problem, cfg_for(method), starts)
+        cfgs, X0 = [cfg_for(method)] * len(starts), starts
+        if method == "bda":  # the alpha sweep's rows, from the origin
+            cfgs = cfgs + alpha_cfgs
+            X0 = np.vstack([starts, np.zeros((len(alpha_cfgs), n))])
+        records = solve_many(problem, cfgs, X0)
         emit_trace(records[0], os.path.join(out, f"{method}_trace.csv"))
         return records
 
@@ -361,14 +379,10 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
             }
         summary["projection_sweep"] = proj_results
 
-        # alpha-rule sweep (zero / constant / adaptive), heavier UL mixing
+        # the alpha sweep's records close bda's batch
         alpha_results = {}
-        for label, rule, scale in (("alpha_zero", "constant", 0.0),
-                                   ("alpha_const_0.5", "constant", 0.5),
-                                   ("alpha_adaptive_0.5_over_k", "harmonic", 0.5)):
-            sched_a = AggregationSchedule(mu=0.5, s_u=0.1, s_l=0.1,
-                                          alpha_rule=rule, alpha_scale=scale)
-            record = solve(problem, cfg_for("bda", sched=sched_a))
+        for (label, _, _), record in zip(alpha_sweep,
+                                         records["bda"][num_inits + 1:]):
             emit_trace(record, os.path.join(out, f"{label}_trace.csv"))
             alpha_results[label] = {
                 "final_err_x": float(record.metrics["err_x"][-1]),

@@ -37,7 +37,8 @@ def _step_products(problem: BilevelProblem, x, y, mode: str,
     """Products yy: q -> (c_F H_F + c_f H_f) q and yx: q -> (c_F C_F + c_f C_f)' q
     at (x, y) for the pre-projection update u = y - (c_F grad_y F + c_f grad_y f):
     (du/dy)' q = q - yy(q), du/dy being symmetric, and (du/dx)' q = -yx(q).
-    Plain descent has c_F = 0 and c_f = s_l."""
+    Plain descent has c_F = 0 and c_f = s_l.  The coefficients may be (B, 1)
+    columns, one row each, for products on (B, m) rows."""
     if mode == "plain":
         return (lambda q: sched.s_l * problem.hess_yy_f(x, y, q),
                 lambda q: sched.s_l * problem.hess_yx_f(x, y, q))
@@ -58,14 +59,16 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
     ``truncate_at`` keeps only the last that many backward steps, treating
     the Jacobian of the earlier iterate as zero (truncated unrolling); None
     or K means no truncation.  On a ``batched`` problem x may be a (B, n)
-    array, as in ``run_inner``: the gradient is then (B, n), one row per row
-    of x, and a non-finite row raises for all of them.
+    array, and ``sched`` one schedule per row, as in ``run_inner``: the
+    gradient is then (B, n), one row per row of x, and a non-finite row
+    raises for all of them.
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     if truncate_at is not None and not (0 <= truncate_at <= K):
         raise ContractError("truncate_at must lie in [0, K]")
     x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
+    sched = trace.sched  # per-row schedules as run_inner resolved them
 
     p = np.asarray(problem.grad_y_F(x, y_K), dtype=float)
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float).copy()
@@ -89,13 +92,15 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
                       strict_projection: bool = True) -> HypergradResult:
     """Forward propagation of the iterate Jacobian d y_k / d x.
 
-    On a ``batched`` problem x may be a (B, n) array, as in ``run_inner``:
-    the Jacobian is then (B, m, n), the gradient (B, n), each row with the
-    bits of that row alone; a clamped or non-finite row raises for all.
+    On a ``batched`` problem x may be a (B, n) array, and ``sched`` one
+    schedule per row, as in ``run_inner``: the Jacobian is then (B, m, n),
+    the gradient (B, n), each row with the bits of that row alone; a clamped
+    or non-finite row raises for all.
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode)
+    sched = trace.sched  # per-row schedules as run_inner resolved them
     if strict_projection and trace.proj_active.any():
         raise CapabilityError(
             "projection became active along the trajectory; rerun with "

@@ -63,6 +63,11 @@ class AggregationSchedule:
     def beta(self, k: int) -> float:
         return self.beta_lower + (self.beta_start - self.beta_lower) / (k + 1)
 
+    def weights(self, K: int):
+        """(alphas, betas): alpha_k and beta_k for k < K as (K,) arrays."""
+        return (np.array([self.alpha(k) for k in range(K)], dtype=float),
+                np.array([self.beta(k) for k in range(K)], dtype=float))
+
     @property
     def c_beta(self) -> float:
         """Smallest c with |beta_k - beta_{k-1}| <= c / (k+1)^2 for all k >= 1."""
@@ -86,10 +91,47 @@ class AggregationSchedule:
             raise ContractError("; ".join(breaches))
 
 
+class _ScheduleColumns:
+    """The schedules of a batch's rows, one per row, as coefficient
+    columns: mu, s_u and s_l are (B, 1) arrays and ``weights`` gives (K, B, 1)
+    ones.  The inner step and its products read them as they read one
+    schedule's floats; broadcast over (B, m) rows, each row gets the bits of
+    its own schedule's scalars."""
+
+    def __init__(self, scheds):
+        self.scheds = scheds
+        self.mu, self.s_u, self.s_l = (
+            np.array([[getattr(s, name)] for s in scheds], dtype=float)
+            for name in ("mu", "s_u", "s_l"))
+
+    def weights(self, K: int):
+        per_row = [s.weights(K) for s in self.scheds]
+        return tuple(np.stack(w, axis=1)[..., None] for w in zip(*per_row))
+
+
+def schedule_rows(sched, rows: tuple):
+    """``sched`` for a run on x of leading shape ``rows``: one schedule as
+    given; a sequence of schedules, one per row of a (B, n) x, as their
+    shared schedule when the rows agree, else as coefficient columns."""
+    if isinstance(sched, AggregationSchedule):
+        return sched
+    scheds = tuple(sched)
+    if rows != (len(scheds),):
+        raise ContractError(f"{len(scheds)} schedules for x rows of shape "
+                            f"{rows}: give one schedule per row")
+    if not all(isinstance(s, AggregationSchedule) for s in scheds):
+        raise ContractError("the schedules must be AggregationSchedules")
+    if all(s == scheds[0] for s in scheds):
+        return scheds[0]
+    return _ScheduleColumns(scheds)
+
+
 @dataclass
 class InnerTrace:
     """Per-iteration history of one inner run (ys has K+1 records).  A run
-    from B rows of x stores (K+1, B, m), (K, B, m) and so on."""
+    from B rows of x stores (K+1, B, m), (K, B, m) and so on; with one
+    schedule per row, ``sched`` holds their coefficient columns and alphas
+    and betas are (K, B, 1)."""
 
     ys: np.ndarray            # (K+1, m)
     z_u: np.ndarray           # (K, m)   y_k - s_u alpha_k grad_y F
@@ -97,6 +139,7 @@ class InnerTrace:
     alphas: np.ndarray        # (K,)
     betas: np.ndarray         # (K,)
     proj_active: np.ndarray   # (K, m) bool, per-coordinate clamping
+    sched: AggregationSchedule  # the run's schedule, or its rows' columns
 
     @property
     def K(self) -> int:
@@ -119,8 +162,9 @@ def _step(problem: BilevelProblem, x, y, k, s_l: float,
           alpha: float = 0.0, beta: float = 0.0):
     """(y_next, z_u, z_l, pre) of inner step k from a checked (x, y): the
     aggregated step of ``sched`` with weights alpha, beta, else the plain step
-    y - s_l grad_y f.  Its one check, of ``pre``, runs before the clamp, so a
-    non-finite gradient raises instead of being clamped into Y."""
+    y - s_l grad_y f; on (B, m) rows the coefficients may be (B, 1) columns
+    (see ``schedule_rows``).  Its one check, of ``pre``, runs before the
+    clamp, so a non-finite gradient raises instead of being clamped into Y."""
     if sched is None:
         gF, gf = None, np.asarray(problem.grad_y_f(x, y), dtype=float)
         z_u = y
@@ -168,13 +212,16 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
 
     On a ``batched`` problem x may be a (B, n) array: the rows run together,
     each from its row of a (B, m) y0 or from a shared (m,) one, and one
-    non-finite row raises for all of them.
+    non-finite row raises for all of them.  ``sched`` may then also be a
+    sequence of schedules, one per row; each row gets the bits of its own
+    run.
     """
     if K < 0:
         raise ContractError("run_inner: K must be >= 0")
     if mode not in ("bda", "plain"):
         raise ContractError(f"run_inner: unknown mode '{mode}'")
     x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
+    sched = schedule_rows(sched, x.shape[:-1])
     y = default_y0(problem) if y0 is None else problem.region_y.clamp(
         as_vector(y0, dim=problem.m, name="y0", rows=problem.batched))
     if y.shape[:-1] not in ((), x.shape[:-1]):
@@ -185,8 +232,7 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     ys = np.empty((K + 1, *shape))
     z_u = np.empty((K, *shape))
     z_l = np.empty((K, *shape))
-    alphas = np.array([sched.alpha(k) for k in range(K)], dtype=float)
-    betas = np.array([sched.beta(k) for k in range(K)], dtype=float)
+    alphas, betas = sched.weights(K)
     proj_active = np.zeros((K, *shape), dtype=bool)
     aggregated = sched if mode == "bda" else None
 
@@ -199,7 +245,7 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
         ys[k + 1] = y = y_next
 
     trace = InnerTrace(ys=ys, z_u=z_u, z_l=z_l, alphas=alphas, betas=betas,
-                       proj_active=proj_active)
+                       proj_active=proj_active, sched=sched)
     return y, trace
 
 

@@ -122,23 +122,26 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
                                     name="outer step x - lam * g"))
 
 
-def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None):
+def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None,
+                     sched=None):
     """Hypergradient of one outer iteration, its inner iterates (ending at
     y_K; for obda, the carried y_t and y_{t+1}) and per-step projection flags.
     No f or F value is evaluated.  On a batched problem the reverse route
-    also takes (B, n) rows of x and (B, m) rows of y0, giving (B, n), (K+1,
-    B, m) and (K, B) arrays."""
+    also takes (B, n) rows of x, (B, m) rows of y0 and, in ``sched``, one
+    schedule per row in place of cfg.sched, giving (B, n), (K+1, B, m) and
+    (K, B) arrays."""
     method = METHODS[cfg.method]
+    sched = cfg.sched if sched is None else sched
     if method.route == "onestage":  # one aggregated step from the carried y0
-        res = hypergrad_onestage(problem, x, y0, cfg.sched)
+        res = hypergrad_onestage(problem, x, y0, sched)
         return (res.gradient, (y0, res.diagnostics["y1"]),
                 [res.diagnostics["branch"] == "projected"])
     if method.route == "reverse":
-        res = hypergrad_reverse(problem, x, cfg.K, cfg.sched, mode=method.inner,
+        res = hypergrad_reverse(problem, x, cfg.K, sched, mode=method.inner,
                                 truncate_at=cfg.truncate_at, y0=y0)
         trace = res.diagnostics["trace"]
     else:
-        y_K, trace = run_inner(problem, x, cfg.K, cfg.sched,
+        y_K, trace = run_inner(problem, x, cfg.K, sched,
                                mode=method.inner, y0=y0)
         res = hypergrad_implicit(problem, x, y_K, cg_tol=cfg.cg_tol,
                                  cg_max_iter=cfg.cg_max_iter)
@@ -176,10 +179,15 @@ def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
     return solve_many(problem, cfg, x0[None], y0=y0, keep_inner=keep_inner)[0]
 
 
-def solve_many(problem: BilevelProblem, cfg: SolverConfig, X0, y0=None,
+def solve_many(problem: BilevelProblem, configs, X0, y0=None,
                keep_inner: bool = False) -> list[RunRecord]:
-    """Run the configured method from each row of the (B, n) array ``X0``;
+    """Run from each row of the (B, n) array ``X0`` under its own config;
     one record per row, each start stopping on its own.
+
+    ``configs`` is one SolverConfig for every row, or a sequence of B.  The
+    rows must agree on method, K, truncate_at and T_max; they may differ in
+    the schedule, lam, stop_tol and seed (and in the CG settings, which
+    only ihg reads, one start at a time).
 
     ``y0`` overrides the fixed inner initialization (default: 0 projected
     onto Y).  For obda the inner state instead persists across outer
@@ -187,61 +195,82 @@ def solve_many(problem: BilevelProblem, cfg: SolverConfig, X0, y0=None,
     unless ``keep_inner`` asks for their values along every inner run.
 
     On a ``batched`` problem a method of the reverse route takes the
-    hypergradients of all live starts from one call on their stacked rows;
-    if that call raises, the outer iteration is redone one start at a time,
-    so that only the failing start aborts, with its own message.  Otherwise
+    hypergradients of all live starts from one call on their stacked rows,
+    each under its own schedule; if that call raises, the outer iteration
+    is redone one start at a time, so that only the failing start aborts,
+    with its own message.  Otherwise, and once a single start is left,
     every start is stepped alone.  Every record's ``wall_time_s`` is the
     wall time of the whole batch.
     """
-    method = METHODS[cfg.method]
-    problem.require(*method.requires)
-    cfg.sched.require_admissible(problem)
     X0 = as_vector(X0, dim=problem.n, name="x0", rows=True)
     if X0.ndim != 2:
         raise ContractError(f"x0: expected a (B, n) array of starts, got "
                             f"shape {X0.shape}")
+    if len(X0) == 0:
+        raise ContractError("x0: the batch has no starts")
+    cfgs = [configs] * len(X0) if isinstance(configs, SolverConfig) \
+        else list(configs)
+    if len(cfgs) != len(X0):
+        raise ContractError(f"solve_many: {len(cfgs)} configs for "
+                            f"{len(X0)} starts; give one, or one per start")
+    for name in ("method", "K", "truncate_at", "T_max"):
+        values = {getattr(c, name) for c in cfgs}
+        if len(values) > 1:
+            raise ContractError(f"solve_many: the starts' configs differ in "
+                                f"{name}: {sorted(map(repr, values))}")
+    cfg = cfgs[0]
+    method = METHODS[cfg.method]
+    problem.require(*method.requires)
+    for sched in dict.fromkeys(c.sched for c in cfgs):
+        sched.require_admissible(problem)
     y_start = default_y0(problem) if y0 is None else \
         problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
-    runs = [_Run(problem.region_x.project(x0), y_start, cfg.lam) for x0 in X0]
+    runs = [_Run(problem.region_x.project(x0), y_start, c)
+            for x0, c in zip(X0, cfgs)]
     batched = problem.batched and method.route == "reverse"
 
     start = time.perf_counter()
-    live = runs
-    for _ in range(cfg.T_max):
-        if not live:
-            break
+    live, t = runs, 0
+    while len(live) > 1 and t < cfg.T_max:
         steps = [None] * len(live)
-        if batched and len(live) > 1:
+        if batched:
             try:
                 g, ys, active = _method_gradient(
                     problem, np.array([run.x for run in live]), cfg,
-                    y0=np.array([run.y_start for run in live]))
+                    y0=np.array([run.y_start for run in live]),
+                    sched=[run.cfg.sched for run in live])
                 steps = [(g[b], ys[:, b], active[:, b])
                          for b in range(len(live))]
             except (NumericalError, CapabilityError):
                 pass  # each start below recomputes its own step
         live = [run for run, step in zip(live, steps)
-                if run.advance(problem, cfg, step, keep_inner)]
+                if run.advance(problem, step, keep_inner)]
+        t += 1
+    if live:  # one start left: stepped alone, without the batch bookkeeping
+        run = live[0]
+        while t < cfg.T_max and run.advance(problem, None, keep_inner):
+            t += 1
     wall = time.perf_counter() - start
-    return [run.record(problem, cfg, wall) for run in runs]
+    return [run.record(problem, wall) for run in runs]
 
 
 class _Run:
     """The state of one start of ``solve_many``."""
 
-    def __init__(self, x, y_start, lam):
-        self.x, self.y_start, self.y_K, self.lam = x, y_start, y_start, lam
+    def __init__(self, x, y_start, cfg: SolverConfig):
+        self.x, self.y_start, self.y_K = x, y_start, y_start
+        self.cfg, self.lam = cfg, cfg.lam
         self.xs = [x.copy()]
         self.columns = {name: [] for name in METRIC_COLUMNS}
         self.inner_rows = []
         self.status = "max-iters"
         self.error = self.error_class = None
 
-    def advance(self, problem: BilevelProblem, cfg: SolverConfig, step,
+    def advance(self, problem: BilevelProblem, step,
                 keep_inner: bool) -> bool:
         """One outer iteration, from ``step`` = (g, ys, active) when given;
         whether the run goes on."""
-        x = self.x
+        x, cfg = self.x, self.cfg
         try:
             # resolved here so that a failing probe also aborts with a record
             if self.lam is None:
@@ -257,7 +286,8 @@ class _Run:
                                 if isinstance(err, CapabilityError)
                                 else "NumericalError")
             return False
-        self.y_K = y_K = ys[-1]
+        # a copy of a batch row, whose view would keep the batch's trace alive
+        self.y_K = y_K = ys[-1] if step is None else ys[-1].copy()
         if METHODS[cfg.method].carries_inner:
             self.y_start = y_K
         if keep_inner:
@@ -286,8 +316,8 @@ class _Run:
             return False
         return True
 
-    def record(self, problem: BilevelProblem, cfg: SolverConfig,
-               wall: float) -> RunRecord:
+    def record(self, problem: BilevelProblem, wall: float) -> RunRecord:
+        cfg = self.cfg
         metrics = {name: np.asarray(vals, dtype=float)
                    for name, vals in self.columns.items()}
         return RunRecord(

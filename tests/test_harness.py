@@ -21,7 +21,8 @@ from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
 from bda.inner import AggregationSchedule
 from bda.numerics import ContractError
 from bda.outer import SolverConfig, config_dict, solve
-from bda.problems import HypercleanConfig, make_hypercleaning, make_remark1
+from bda.problems import (HypercleanConfig, make_counterexample,
+                          make_hypercleaning, make_remark1)
 
 
 def _write_config(path, **overrides):
@@ -256,7 +257,8 @@ def test_config_dict_loads_back_as_the_same_solver_config(tmp_path,
 
     def recording(solver):
         def run(problem, cfg, *args, **kwargs):
-            built.append(cfg)
+            # solve_many takes one config per row
+            built.extend([cfg] if isinstance(cfg, SolverConfig) else cfg)
             return solver(problem, cfg, *args, **kwargs)
         return run
 
@@ -557,6 +559,41 @@ def test_suite_counterexample_files_and_claims(tmp_path):
     assert (proj["with_projection"]["iterations"]
             <= proj["without_projection"]["iterations"])
     assert proj["with_projection"]["status"] == "converged"
+
+
+def test_suite_counterexample_alpha_sweep_rows_equal_solo_solves(
+        tmp_path, monkeypatch):
+    # the alpha sweep runs as rows of bda's batch; each label's trace is the
+    # bytes a solo solve of that config writes
+    out = tmp_path / "ce"
+    built = []
+    solve_many = bda.harness.solve_many
+
+    def recording(problem, cfgs, X0, *args, **kwargs):
+        built.append((cfgs, X0))
+        return solve_many(problem, cfgs, X0, *args, **kwargs)
+
+    monkeypatch.setattr(bda.harness, "solve_many", recording)
+    summary = suite_counterexample(3, 5, ["bda", "rhg"], str(out),
+                                   T_max=30, num_inits=2)
+    (cfgs, X0), _ = built
+    assert len(cfgs) == len(X0) == 6 and not X0[3:].any()
+    problem = make_counterexample(3)
+    for label, cfg in zip(summary["alpha_sweep"], cfgs[3:]):
+        emit_trace(solve(problem, cfg), str(tmp_path / "solo.csv"))
+        assert filecmp.cmp(out / f"{label}_trace.csv", tmp_path / "solo.csv",
+                           shallow=False), label
+    assert [c.sched.alpha_scale for c in cfgs[3:]] == [0.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("num_inits", [-1, 1.5, True, "2"])
+def test_suite_counterexample_num_inits_must_be_a_count(tmp_path, num_inits):
+    # -1 and 1.5 died in numpy; True ran one start
+    out = tmp_path / "ce"
+    with pytest.raises(ContractError, match="num_inits"):
+        suite_counterexample(2, 2, ["bda"], str(out), T_max=2,
+                             num_inits=num_inits)
+    assert not out.exists()
 
 
 def test_suite_counterexample_rejects_unknown_methods(tmp_path):

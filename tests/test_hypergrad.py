@@ -135,6 +135,50 @@ def test_reverse_on_rows_equals_each_row_alone(n, rows, mode, truncate_at,
     assert (shared.ys[0] == Y0[0].clip(-0.6, 0.6)).all()
 
 
+ROW_SCHEDS = [AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1),
+              AggregationSchedule(mu=0.5, s_u=0.05, s_l=0.2,
+                                  alpha_rule="constant", alpha_scale=0.0),
+              AggregationSchedule(mu=0.1, s_u=0.2, s_l=0.1, beta_start=1.0,
+                                  beta_lower=0.5)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(n=st.integers(1, 4), picks=st.lists(st.integers(0, 2), min_size=1,
+                                           max_size=4),
+       mode=st.sampled_from(["bda", "plain"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_take_one_schedule_each(n, picks, mode, seed):
+    # each row runs under its own schedule with the bits of its solo run;
+    # the counterexample's tight box clamps some rows, lls_quadratic none
+    scheds = [ROW_SCHEDS[i] for i in picks]
+    rng = rng_stream(seed)
+    X = 1.5 * rng.standard_normal((len(picks), n))
+    p = make_counterexample(n, y_radius=0.6)
+    res = hypergrad_reverse(p, X, 5, scheds, mode=mode, truncate_at=3)
+    trace = res.diagnostics["trace"]
+    q = make_lls_quadratic(n, n + 2, seed=seed)
+    fwd = hypergrad_forward(q, X, 5, scheds, mode=mode)
+    for b, sched in enumerate(scheds):
+        alone = hypergrad_reverse(p, X[b], 5, sched, mode=mode, truncate_at=3)
+        assert res.gradient[b].tobytes() == alone.gradient.tobytes()
+        for name in ("ys", "z_u", "z_l", "proj_active"):
+            assert getattr(trace, name)[:, b].tobytes() == \
+                getattr(alone.diagnostics["trace"], name).tobytes()
+        assert fwd.gradient[b].tobytes() == \
+            hypergrad_forward(q, X[b], 5, sched, mode=mode).gradient.tobytes()
+    # rows that share one schedule run on its floats
+    shape = (5,) if len(set(scheds)) == 1 else (5, len(picks), 1)
+    assert trace.alphas.shape == trace.betas.shape == shape
+
+
+def test_one_schedule_per_row_of_x():
+    p = make_counterexample(2)
+    with pytest.raises(ContractError, match="one schedule per row"):
+        run_inner(p, np.zeros((3, 2)), 2, ROW_SCHEDS[:2])
+    with pytest.raises(ContractError, match="one schedule per row"):
+        hypergrad_reverse(p, np.zeros(2), 2, ROW_SCHEDS[:1])
+
+
 def test_rows_need_a_batched_problem_and_matching_y0_rows():
     sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
     with pytest.raises(ContractError, match="1-D"):

@@ -416,3 +416,78 @@ def test_solve_many_takes_rows_of_starts():
         solve_many(make_remark1(), cfg, np.zeros(1))
     with pytest.raises(ContractError, match="dimension 1"):
         solve_many(make_remark1(), cfg, np.zeros((2, 3)))
+
+
+def _assert_bitwise_same_run(record, solo):
+    assert (record.status, record.T, record.error, record.config) == \
+        (solo.status, solo.T, solo.error, solo.config)
+    assert record.xs.tobytes() == solo.xs.tobytes()
+    assert record.y_final.tobytes() == solo.y_final.tobytes()
+    for name, vals in solo.metrics.items():
+        assert record.metrics[name].tobytes() == vals.tobytes(), name
+    assert [r.tobytes() for r in record.inner_rows] == \
+        [r.tobytes() for r in solo.inner_rows]
+
+
+# the counterexample suite's bda schedule and its alpha sweep's three
+SUITE_SCHEDS = [CE_SCHED] + [
+    AggregationSchedule(mu=0.5, s_u=0.1, s_l=0.1, alpha_rule=rule,
+                        alpha_scale=scale)
+    for rule, scale in (("constant", 0.0), ("constant", 0.5),
+                        ("harmonic", 0.5))]
+
+
+@pytest.mark.parametrize("lls", [False, True])
+def test_solve_many_with_a_config_per_row_equals_solo_solves_bitwise(lls):
+    # rows differ in schedule, lam, stop_tol and seed; the third row stops
+    # after its first iteration, the others at their own tolerances
+    p = _boxed_lls(4, 3) if lls else make_counterexample(5)
+    cfgs = [SolverConfig(method="bda", K=6, T_max=40, sched=sched, seed=i,
+                         lam=0.05 if i % 2 else 0.02,
+                         stop_tol=1e3 if i == 2 else 1e-4)
+            for i, sched in enumerate(SUITE_SCHEDS)]
+    X = rng_stream(7).uniform(-0.5, 0.5, (len(cfgs), p.n))
+    with pytest.MonkeyPatch.context() as patch:
+        sizes = _batch_sizes(patch)
+        records = solve_many(p, cfgs, X, keep_inner=True)
+    assert sizes[0] == len(cfgs)  # the rows went in one call
+    assert records[2].T == 1 and len({r.T for r in records}) > 1
+    for record, cfg, x0 in zip(records, cfgs, X):
+        _assert_bitwise_same_run(record, solve(p, cfg, x0=x0,
+                                               keep_inner=True))
+
+
+def test_solve_many_with_per_row_plain_step_sizes_equals_solo_bitwise():
+    # rhg reads only s_l of each row's schedule
+    p = _boxed_lls(3, 11)
+    cfgs = [_ce_config("rhg"),
+            dataclasses.replace(_ce_config("rhg"),
+                                sched=AggregationSchedule(s_l=0.05))]
+    X = rng_stream(3).uniform(-1.0, 1.0, (2, 3))
+    for record, cfg, x0 in zip(solve_many(p, cfgs, X), cfgs, X):
+        _assert_bitwise_same_run(record, solve(p, cfg, x0=x0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("method", "rhg"), ("K", 4), ("T_max", 41),
+    ("truncate_at", 2)])
+def test_solve_many_rows_must_share_method_K_truncation_and_T_max(field,
+                                                                  value):
+    base = SolverConfig(method="trhg" if field == "truncate_at" else "bda",
+                        K=5, T_max=40, lam=0.05, sched=CE_SCHED,
+                        truncate_at=1 if field == "truncate_at" else None)
+    other = dataclasses.replace(base, **{field: value})
+    with pytest.raises(ContractError, match=f"differ in {field}"):
+        solve_many(make_counterexample(2), [base, other], np.zeros((2, 2)))
+
+
+def test_solve_many_takes_one_config_or_one_per_row():
+    cfg = _ce_config("bda")
+    p = make_counterexample(2)
+    for configs in ([cfg], [cfg] * 3):
+        with pytest.raises(ContractError, match="one per start"):
+            solve_many(p, configs, np.zeros((2, 2)))
+    # an empty batch is an error, not an empty list
+    for problem in (p, make_remark1()):
+        with pytest.raises(ContractError, match="no starts"):
+            solve_many(problem, cfg, np.zeros((0, problem.n)))
