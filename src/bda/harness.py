@@ -10,9 +10,11 @@ Subcommands:
 
 All trace files are written atomically and reproduce bit-for-bit under a
 fixed config and seed; wall-clock time is reported only in summary JSON.
-Suites and seed sweeps run their jobs one after another on the calling
-thread; the counterexample suite solves each method's starts as one batch,
-and its alpha sweep as three more rows of bda's batch.
+Suites run their jobs one after another on the calling thread.  Batches
+take their place where the runs share a problem: a ``run`` solves its seeds
+as the rows of one ``solve_many`` batch, and the counterexample suite solves
+each method's starts as one batch, and its alpha sweep as three more rows of
+bda's batch.
 A ``run`` whose solve ends ``aborted`` still writes every file, then exits
 with the code its error class gets (3 capability, 4 numerical).
 """
@@ -31,7 +33,7 @@ import numpy as np
 
 from .inner import AggregationSchedule, run_inner
 from .numerics import (CapabilityError, ContractError, NumericalError,
-                       rng_stream, typed_value)
+                       as_vector, rng_stream, typed_value)
 from .outer import (METHODS, METRIC_COLUMNS, SCHED_KEYS, SOLVER_KEYS,
                     RunRecord, SolverConfig, config_dict, solve,
                     solve_many)
@@ -101,6 +103,12 @@ def load_config(path: str) -> ExperimentConfig:
             seeds = [solver.seed + i for i in range(repeats)]
         elif type(seeds) is not list or any(type(s) is not int for s in seeds):
             raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+        if not seeds:
+            raise ConfigError("the run has no seeds: give repeats >= 1 or a "
+                              "non-empty seeds list")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds repeated: {seeds}; each seed writes "
+                              f"its own files")
         verbosity = raw.pop("verbosity", "summary")
         if verbosity not in ("summary", "full"):
             raise ConfigError(f"verbosity {verbosity!r} is not summary or full")
@@ -260,27 +268,37 @@ def _method_list(methods, supported: tuple, suite: str) -> list:
 
 
 def run_experiment(exp: ExperimentConfig) -> list[dict]:
-    problem = exp.build_problem()
-    os.makedirs(exp.out_dir, exist_ok=True)
-    multiple = len(exp.seeds) > 1
+    """Solve the config once per seed and write each seed's trace, summary
+    and (verbosity 'full') inner trace, suffixed ``_<seed>`` when there are
+    several seeds; returns the summaries in seed order.
 
-    def one(seed: int):
-        cfg = replace(exp.solver, seed=seed)
-        record = solve(problem, cfg, x0=exp.x0,
-                       keep_inner=exp.verbosity == "full")
+    The seeds are the rows of one ``solve_many`` batch, all from ``x0`` (the
+    origin by default); each row's record equals that seed's solo ``solve``,
+    save ``wall_time_s``, which is the batch's.
+    """
+    problem = exp.build_problem()
+    x0 = np.zeros(problem.n) if exp.x0 is None else \
+        as_vector(exp.x0, dim=problem.n, name="x0")
+    os.makedirs(exp.out_dir, exist_ok=True)
+    full = exp.verbosity == "full"
+    records = solve_many(problem, [replace(exp.solver, seed=seed)
+                                   for seed in exp.seeds],
+                         np.tile(x0, (len(exp.seeds), 1)), keep_inner=full)
+    multiple = len(exp.seeds) > 1
+    summaries = []
+    for seed, record in zip(exp.seeds, records):
         tag = f"_{seed}" if multiple else ""
         trace_path = os.path.join(exp.out_dir, f"trace{tag}.csv")
         emit_trace(record, trace_path)
-        if exp.verbosity == "full":
+        if full:
             emit_inner_trace(record, os.path.join(exp.out_dir,
                                                   f"inner_trace{tag}.csv"))
         summary = summarize_record(record, problem)
         summary["problem_params"] = exp.problem_params
         summary["trace_file"] = os.path.basename(trace_path)
         write_summary(summary, os.path.join(exp.out_dir, f"summary{tag}.json"))
-        return summary
-
-    return _run_jobs([lambda s=s: one(s) for s in exp.seeds])
+        summaries.append(summary)
+    return summaries
 
 
 def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,

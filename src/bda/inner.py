@@ -13,6 +13,7 @@ mu * z_u + (1 - mu) * z_l bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,9 +65,9 @@ class AggregationSchedule:
         return self.beta_lower + (self.beta_start - self.beta_lower) / (k + 1)
 
     def weights(self, K: int):
-        """(alphas, betas): alpha_k and beta_k for k < K as (K,) arrays."""
-        return (np.array([self.alpha(k) for k in range(K)], dtype=float),
-                np.array([self.beta(k) for k in range(K)], dtype=float))
+        """(alphas, betas): alpha_k and beta_k for k < K as read-only (K,)
+        arrays, built once per (schedule, K)."""
+        return _weights(self, K)
 
     @property
     def c_beta(self) -> float:
@@ -89,6 +90,15 @@ class AggregationSchedule:
         breaches = self.breaches(problem.L_F, problem.L_f)
         if breaches:
             raise ContractError("; ".join(breaches))
+
+
+@lru_cache(maxsize=64)
+def _weights(sched: AggregationSchedule, K: int):
+    weights = (np.array([sched.alpha(k) for k in range(K)], dtype=float),
+               np.array([sched.beta(k) for k in range(K)], dtype=float))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 class _ScheduleColumns:
@@ -250,9 +260,16 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
 
 
 def inner_values(problem: BilevelProblem, x, ys) -> np.ndarray:
-    """f and F at each inner iterate in ``ys``: a (2, len(ys)) array."""
-    vals = np.array([[problem.f(x, y) for y in ys],
-                     [problem.F(x, y) for y in ys]], dtype=float)
+    """f and F at each inner iterate in ``ys`` (a sequence or stack of
+    points): a (2, len(ys)) array.  A ``batched`` problem answers several
+    points in one row call to each of f and F, with x broadcast to the rows."""
+    ys = np.asarray(ys, dtype=float)
+    if problem.batched and len(ys) > 1:
+        xs = np.broadcast_to(x, (len(ys), problem.n))
+        vals = np.array([problem.f(xs, ys), problem.F(xs, ys)], dtype=float)
+    else:
+        vals = np.array([[problem.f(x, y) for y in ys],
+                         [problem.F(x, y) for y in ys]], dtype=float)
     if not np.isfinite(vals).all():
         raise NumericalError("non-finite f or F value along the inner run")
     return vals

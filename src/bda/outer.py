@@ -230,6 +230,20 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
     batched = problem.batched and method.route == "reverse"
 
     start = time.perf_counter()
+    _advance_all(problem, runs, batched, keep_inner)
+    wall = time.perf_counter() - start
+    records = []
+    while runs:  # each run's lists go as its record takes their place
+        records.append(runs.pop(0).record(problem, wall))
+    return records
+
+
+def _advance_all(problem: BilevelProblem, runs: list, batched: bool,
+                 keep_inner: bool) -> None:
+    """Step every run of ``solve_many`` until it stops or reaches T_max: the
+    live runs of a ``batched`` problem from one hypergradient call while
+    more than one is left, else one by one."""
+    cfg = runs[0].cfg
     live, t = runs, 0
     while len(live) > 1 and t < cfg.T_max:
         steps = [None] * len(live)
@@ -250,8 +264,6 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
         run = live[0]
         while t < cfg.T_max and run.advance(problem, None, keep_inner):
             t += 1
-    wall = time.perf_counter() - start
-    return [run.record(problem, wall) for run in runs]
 
 
 class _Run:

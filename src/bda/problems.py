@@ -80,13 +80,14 @@ class BilevelProblem:
                 as_vector(y, dim=self.m, name="y"))
 
 
-def _dot(a, b):
+def _dot(a, b, keepdims=True):
     """<a, b> of two vectors, or of each row of two (B, k) arrays as a (B, 1)
-    column that scales its row; both give np.dot's bits.  Vectors keep
-    np.dot: its float scales a vector faster than a length-1 array does."""
+    column that scales its row (a (B,) array without ``keepdims``); all give
+    np.dot's bits.  Vectors keep np.dot: its float scales a vector faster
+    than a length-1 array does."""
     if a.ndim == 1:
         return np.dot(a, b)
-    return np.vecdot(a, b, keepdims=True)
+    return np.vecdot(a, b, keepdims=keepdims)
 
 
 def _per_row(value):
@@ -385,13 +386,13 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
     # global x minimizer of phi(x) = ||Mx - b||^2/2 + rho ||x||^2/2
     x_opt = np.linalg.solve(M.T @ M + rho * np.eye(n), M.T @ b)
 
-    @_per_row
     def F(x, y):
-        return float(0.5 * np.dot(y - b, y - b) + 0.5 * rho * np.dot(x, x))
+        return (0.5 * _dot(y - b, y - b, keepdims=False)
+                + 0.5 * rho * _dot(x, x, keepdims=False))
 
-    @_per_row
     def f(x, y):
-        return float(0.5 * np.dot(y, A @ y) - np.dot(B @ x, y))
+        return (0.5 * _dot(y, matvec(A, y), keepdims=False)
+                - _dot(matvec(B, x), y, keepdims=False))
 
     def grad_x_F(x, y):
         return rho * x

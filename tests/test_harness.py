@@ -17,12 +17,13 @@ from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          cli_main, emit_inner_trace, emit_trace, f1_score,
                          hyperclean_baseline, hyperclean_metrics, load_config,
                          parse_trace, run_experiment, suite_counterexample,
-                         suite_hyperclean, default_hyperclean_solver)
+                         suite_hyperclean, default_hyperclean_solver,
+                         write_summary)
 from bda.inner import AggregationSchedule
 from bda.numerics import ContractError
 from bda.outer import SolverConfig, config_dict, solve
 from bda.problems import (HypercleanConfig, make_counterexample,
-                          make_hypercleaning, make_remark1)
+                          make_hypercleaning, make_lls_quadratic, make_remark1)
 
 
 def _write_config(path, **overrides):
@@ -171,6 +172,78 @@ def test_inner_trace_written_without_rerunning_inner(tmp_path, monkeypatch):
     assert cols["t"].tolist() == [t for t in range(3) for _ in range(11)]
 
 
+def _assert_seeds_match_solo_solves(exp, problem, tmp_path):
+    """Each seed's trace and inner trace hold the bytes a solo ``solve`` of
+    that seed writes, and its summary the same fields (the batch's wall time
+    aside)."""
+    out, solo = tmp_path / "out", tmp_path / "solo"
+    solo.mkdir()
+    for seed in exp.seeds:
+        record = solve(problem, dataclasses.replace(exp.solver, seed=seed),
+                       x0=exp.x0, keep_inner=True)
+        emit_trace(record, str(solo / "trace.csv"))
+        emit_inner_trace(record, str(solo / "inner_trace.csv"))
+        for name in ("trace", "inner_trace"):
+            assert filecmp.cmp(out / f"{name}_{seed}.csv", solo / f"{name}.csv",
+                               shallow=False), (seed, name)
+        write_summary(bda.harness.summarize_record(record, problem),
+                      str(solo / "summary.json"))
+        alone = json.loads((solo / "summary.json").read_text("utf-8"))
+        batch = json.loads((out / f"summary_{seed}.json").read_text("utf-8"))
+        assert batch.pop("trace_file") == f"trace_{seed}.csv"
+        assert batch.pop("problem_params") == exp.problem_params
+        batch.pop("wall_time_s"), alone.pop("wall_time_s")
+        assert batch == alone, seed
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+@pytest.mark.parametrize("problem,params", [
+    ("remark1", {}), ("lls_quadratic", {"n": 3, "m": 4, "seed": 2})])
+def test_run_experiment_seeds_equal_solo_solves(tmp_path, problem, params,
+                                                lam):
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), problem=problem,
+                             problem_params=params, method="bda", K=5,
+                             T_max=12, seeds=[3, 0, 5], verbosity="full",
+                             **{"lambda": lam})
+    exp = load_config(cfg_path)
+    exp.out_dir = str(tmp_path / "out")
+    summaries = run_experiment(exp)
+    assert [s["config"]["seed"] for s in summaries] == [3, 0, 5]
+    assert len({s["config"]["lambda"] for s in summaries}) == \
+        (1 if lam is not None else 3)
+    assert len({s["wall_time_s"] for s in summaries}) == 1
+    _assert_seeds_match_solo_solves(exp, exp.build_problem(), tmp_path)
+
+
+def test_run_experiment_failing_seeds_abort_alone(tmp_path, monkeypatch):
+    # grad_y_F is non-finite wherever x_0 > 0.33.  Seed 2's default-step
+    # probes land there; seed 7's steps reach it at t = 2, when the batch's
+    # call fails and its rows are redone one at a time; seed 0 stays below
+    base = make_lls_quadratic(2, 3, seed=1)
+
+    def grad_y_F(x, y):
+        g = base.grad_y_F(x, y)
+        return np.where((np.asarray(x)[..., :1] > 0.33), np.nan, g)
+
+    problem = dataclasses.replace(base, grad_y_F=grad_y_F)
+    monkeypatch.setattr(bda.harness, "make_problem", lambda name, **kw: problem)
+    cfg_path = _write_config(str(tmp_path / "cfg.json"),
+                             problem="lls_quadratic", method="bda", K=5,
+                             T_max=3, seeds=[0, 7, 2], verbosity="full",
+                             **{"lambda": None})
+    exp = load_config(cfg_path)
+    exp.out_dir = str(tmp_path / "out")
+    with np.errstate(invalid="ignore"):
+        summaries = run_experiment(exp)
+        _assert_seeds_match_solo_solves(exp, problem, tmp_path)
+    status = {s["config"]["seed"]: (s["status"], s["iterations"], s["error"])
+              for s in summaries}
+    message = "inner step k=0: grad_y_F non-finite"
+    assert status == {0: ("max-iters", 3, None), 7: ("aborted", 2, message),
+                      2: ("aborted", 0, message)}
+    assert summaries[2]["resolved_lambda"] is None
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -296,6 +369,22 @@ def test_config_repeats_and_seeds_are_exclusive(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "repeats or seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"seeds": []}, "no seeds"), ({"repeats": 0}, "no seeds"),
+    ({"repeats": -2}, "no seeds"), ({"seeds": [0, 4, 0]}, "seeds repeated")])
+def test_config_seeds_must_be_a_non_empty_list_without_repeats(
+        tmp_path, capsys, overrides, message):
+    # an empty list ran nothing and exited 0; a repeated seed overwrote the
+    # files of its first run
+    cfg_path = _write_config(str(tmp_path / "cfg.json"), **overrides)
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg_path)
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

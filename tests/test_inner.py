@@ -386,3 +386,65 @@ def test_inner_error_names_the_step_and_the_oracle_once():
     with pytest.raises(ContractError,
                        match=r"^inner step k=0: pre-projection point has shape"):
         run_inner(p, np.ones(3), 10, AggregationSchedule(), mode="plain")
+
+
+# ---------------------------------------------------------------------------
+# schedule weights and inner values
+# ---------------------------------------------------------------------------
+
+def test_schedule_weights_are_shared_read_only_arrays():
+    sched = AggregationSchedule(alpha_rule="harmonic", alpha_scale=0.5,
+                                beta_start=1.0, beta_lower=0.5)
+    alphas, betas = sched.weights(6)
+    np.testing.assert_array_equal(alphas, [sched.alpha(k) for k in range(6)])
+    np.testing.assert_array_equal(betas, [sched.beta(k) for k in range(6)])
+    # an equal schedule reads the same arrays, which no caller can alter
+    again = sched.weights(6)
+    assert again[0] is alphas and again[1] is betas
+    assert AggregationSchedule(**vars(sched)).weights(6)[0] is alphas
+    with pytest.raises(ValueError, match="read-only"):
+        alphas[0] = 1.0
+    assert sched.weights(5)[0].shape == (5,)
+
+
+def _counted_values(problem):
+    """Copy of ``problem`` whose f and F record the shape of every y."""
+    shapes = []
+
+    def counted(fn):
+        def call(x, y):
+            shapes.append(np.shape(y))
+            return fn(x, y)
+        return call
+
+    return dataclasses.replace(problem, f=counted(problem.f),
+                               F=counted(problem.F)), shapes
+
+
+@pytest.mark.parametrize("kind", ["lls_quadratic", "counterexample"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inner_values_on_rows_equal_the_per_point_values(kind, seed):
+    # independent oracle: f and F called at each iterate alone; a batched
+    # problem answers the whole run in one row call to each
+    if kind == "lls_quadratic":
+        base = make_lls_quadratic(3, 5, seed=seed)
+    else:
+        base = make_counterexample(3, y_radius=0.5)
+    rng = rng_stream(seed)
+    x = base.region_x.project(rng.standard_normal(base.n))
+    sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
+    _, trace = run_inner(base, x, 7, sched, mode="bda",
+                         y0=rng.standard_normal(base.m))
+    p, shapes = _counted_values(base)
+    vals = inner_values(p, x, trace.ys)
+    assert shapes == [trace.ys.shape] * 2
+    np.testing.assert_array_equal(vals[0], [base.f(x, y) for y in trace.ys])
+    np.testing.assert_array_equal(vals[1], [base.F(x, y) for y in trace.ys])
+    # obda's carried pair (y_t, y_{t+1}) comes as a tuple
+    pair = (trace.ys[0], trace.ys[1])
+    np.testing.assert_array_equal(inner_values(p, x, pair), vals[:, :2])
+    # one point keeps the 1-D call
+    shapes.clear()
+    np.testing.assert_array_equal(inner_values(p, x, trace.ys[-1:]),
+                                  vals[:, -1:])
+    assert shapes == [(base.m,)] * 2

@@ -219,14 +219,15 @@ def test_approximate_stationarity_transfers_to_true_gradient():
 
 
 def _value_counting(problem):
-    """Copy of ``problem`` whose f and F count their calls in ``calls``."""
+    """Copy of ``problem`` whose f and F count the points they are asked
+    for in ``calls``: one per call on a vector y, one per row of a (B, m) y."""
     calls = {"f": 0, "F": 0}
 
     def counted(name):
         fn = getattr(problem, name)
 
         def call(x, y):
-            calls[name] += 1
+            calls[name] += len(y) if np.ndim(y) == 2 else 1
             return fn(x, y)
         return call
 
