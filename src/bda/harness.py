@@ -109,6 +109,9 @@ def load_config(path: str) -> ExperimentConfig:
         if len(set(seeds)) < len(seeds):
             raise ConfigError(f"seeds repeated: {seeds}; each seed writes "
                               f"its own files")
+        x0 = raw.pop("x0", None)
+        if x0 is not None and type(x0) is not list:
+            raise ConfigError(f"x0 must be null or a list of numbers, got {x0!r}")
         verbosity = raw.pop("verbosity", "summary")
         if verbosity not in ("summary", "full"):
             raise ConfigError(f"verbosity {verbosity!r} is not summary or full")
@@ -119,7 +122,8 @@ def load_config(path: str) -> ExperimentConfig:
             out_dir=typed_value("out", raw.pop("out", "."), str),
             verbosity=verbosity,
             seeds=seeds,
-            x0=raw.pop("x0", None),
+            x0=None if x0 is None else [typed_value(f"x0[{i}]", v, float)
+                                        for i, v in enumerate(x0)],
         )
         if raw:
             raise ConfigError(f"unknown keys {sorted(raw)}")
@@ -521,7 +525,6 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def verify_suite(name: str, out: str) -> dict:
-    os.makedirs(out, exist_ok=True)
     suites = ("lemma1", "rate", "stationarity")
     if name == "all":
         chosen = suites
@@ -529,6 +532,7 @@ def verify_suite(name: str, out: str) -> dict:
         chosen = (name,)
     else:
         raise ContractError(f"unknown verify suite '{name}'")
+    os.makedirs(out, exist_ok=True)
 
     reports = []
     if "lemma1" in chosen:

@@ -58,15 +58,14 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
 
     ``truncate_at`` keeps only the last that many backward steps, treating
     the Jacobian of the earlier iterate as zero (truncated unrolling); None
-    or K means no truncation.  On a ``batched`` problem x may be a (B, n)
-    array, and ``sched`` one schedule per row, as in ``run_inner``: the
-    gradient is then (B, n), one row per row of x, and a non-finite row
-    raises for all of them.
+    or K means no truncation.  x may be a (B, n) array, and ``sched`` one
+    schedule per row, as in ``run_inner``: the gradient is then (B, n), one
+    row per row of x, and a non-finite row raises for all of them.
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     if truncate_at is not None and not (0 <= truncate_at <= K):
         raise ContractError("truncate_at must lie in [0, K]")
-    x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
+    x = as_vector(x, dim=problem.n, name="x", rows=True)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
     sched = trace.sched  # per-row schedules as run_inner resolved them
 
@@ -92,13 +91,13 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
                       strict_projection: bool = True) -> HypergradResult:
     """Forward propagation of the iterate Jacobian d y_k / d x.
 
-    On a ``batched`` problem x may be a (B, n) array, and ``sched`` one
-    schedule per row, as in ``run_inner``: the Jacobian is then (B, m, n),
-    the gradient (B, n), each row with the bits of that row alone; a clamped
-    or non-finite row raises for all.
+    x may be a (B, n) array, and ``sched`` one schedule per row, as in
+    ``run_inner``: the Jacobian is then (B, m, n), the gradient (B, n), each
+    row with the bits of that row alone; a clamped or non-finite row raises
+    for all.
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
-    x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
+    x = as_vector(x, dim=problem.n, name="x", rows=True)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode)
     sched = trace.sched  # per-row schedules as run_inner resolved them
     if strict_projection and trace.proj_active.any():

@@ -220,20 +220,19 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     z_l = y_{k+1} before projection.  Only gradients are evaluated; the f and
     F values along the run come from ``inner_values`` on request.
 
-    On a ``batched`` problem x may be a (B, n) array: the rows run together,
-    each from its row of a (B, m) y0 or from a shared (m,) one, and one
-    non-finite row raises for all of them.  ``sched`` may then also be a
-    sequence of schedules, one per row; each row gets the bits of its own
-    run.
+    x may be a (B, n) array: the rows run together, each from its row of a
+    (B, m) y0 or from a shared (m,) one, and one non-finite row raises for
+    all of them.  ``sched`` may then also be a sequence of schedules, one
+    per row; each row gets the bits of its own run.
     """
     if K < 0:
         raise ContractError("run_inner: K must be >= 0")
     if mode not in ("bda", "plain"):
         raise ContractError(f"run_inner: unknown mode '{mode}'")
-    x = as_vector(x, dim=problem.n, name="x", rows=problem.batched)
+    x = as_vector(x, dim=problem.n, name="x", rows=True)
     sched = schedule_rows(sched, x.shape[:-1])
     y = default_y0(problem) if y0 is None else problem.region_y.clamp(
-        as_vector(y0, dim=problem.m, name="y0", rows=problem.batched))
+        as_vector(y0, dim=problem.m, name="y0", rows=True))
     if y.shape[:-1] not in ((), x.shape[:-1]):
         raise ContractError(f"run_inner: y0 of shape {y.shape} does not fit "
                             f"x of shape {x.shape}")
@@ -261,15 +260,13 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
 
 def inner_values(problem: BilevelProblem, x, ys) -> np.ndarray:
     """f and F at each inner iterate in ``ys`` (a sequence or stack of
-    points): a (2, len(ys)) array.  A ``batched`` problem answers several
-    points in one row call to each of f and F, with x broadcast to the rows."""
+    points): a (2, len(ys)) array.  Several points take one row call to
+    each of f and F, with x broadcast to the rows; one point the 1-D call."""
     ys = np.asarray(ys, dtype=float)
-    if problem.batched and len(ys) > 1:
-        xs = np.broadcast_to(x, (len(ys), problem.n))
-        vals = np.array([problem.f(xs, ys), problem.F(xs, ys)], dtype=float)
-    else:
-        vals = np.array([[problem.f(x, y) for y in ys],
-                         [problem.F(x, y) for y in ys]], dtype=float)
+    at = (x, ys[0]) if len(ys) == 1 else \
+        (np.broadcast_to(x, (len(ys), problem.n)), ys)
+    vals = np.array([problem.f(*at), problem.F(*at)], dtype=float)
+    vals = vals.reshape(2, len(ys))
     if not np.isfinite(vals).all():
         raise NumericalError("non-finite f or F value along the inner run")
     return vals

@@ -126,10 +126,9 @@ def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None,
                      sched=None):
     """Hypergradient of one outer iteration, its inner iterates (ending at
     y_K; for obda, the carried y_t and y_{t+1}) and per-step projection flags.
-    No f or F value is evaluated.  On a batched problem the reverse route
-    also takes (B, n) rows of x, (B, m) rows of y0 and, in ``sched``, one
-    schedule per row in place of cfg.sched, giving (B, n), (K+1, B, m) and
-    (K, B) arrays."""
+    No f or F value is evaluated.  The reverse route also takes (B, n) rows
+    of x, (B, m) rows of y0 and, in ``sched``, one schedule per row in place
+    of cfg.sched, giving (B, n), (K+1, B, m) and (K, B) arrays."""
     method = METHODS[cfg.method]
     sched = cfg.sched if sched is None else sched
     if method.route == "onestage":  # one aggregated step from the carried y0
@@ -194,13 +193,12 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
     iterations, starting from ``y0``.  f and F are evaluated at y_K only,
     unless ``keep_inner`` asks for their values along every inner run.
 
-    On a ``batched`` problem a method of the reverse route takes the
-    hypergradients of all live starts from one call on their stacked rows,
-    each under its own schedule; if that call raises, the outer iteration
-    is redone one start at a time, so that only the failing start aborts,
-    with its own message.  Otherwise, and once a single start is left,
-    every start is stepped alone.  Every record's ``wall_time_s`` is the
-    wall time of the whole batch.
+    A method of the reverse route takes the hypergradients of all live
+    starts from one call on their stacked rows, each under its own schedule;
+    if that call raises, the outer iteration is redone one start at a time,
+    so that only the failing start aborts, with its own message.  Otherwise,
+    and once a single start is left, every start is stepped alone.  Every
+    record's ``wall_time_s`` is the wall time of the whole batch.
     """
     X0 = as_vector(X0, dim=problem.n, name="x0", rows=True)
     if X0.ndim != 2:
@@ -227,10 +225,9 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
         problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
     runs = [_Run(problem.region_x.project(x0), y_start, c)
             for x0, c in zip(X0, cfgs)]
-    batched = problem.batched and method.route == "reverse"
 
     start = time.perf_counter()
-    _advance_all(problem, runs, batched, keep_inner)
+    _advance_all(problem, runs, keep_inner)
     wall = time.perf_counter() - start
     records = []
     while runs:  # each run's lists go as its record takes their place
@@ -238,16 +235,16 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
     return records
 
 
-def _advance_all(problem: BilevelProblem, runs: list, batched: bool,
+def _advance_all(problem: BilevelProblem, runs: list,
                  keep_inner: bool) -> None:
-    """Step every run of ``solve_many`` until it stops or reaches T_max: the
-    live runs of a ``batched`` problem from one hypergradient call while
-    more than one is left, else one by one."""
+    """Step every run of ``solve_many`` until it stops or reaches T_max: on
+    the reverse route, the live runs from one hypergradient call on their
+    rows while more than one is left, else one by one."""
     cfg = runs[0].cfg
     live, t = runs, 0
     while len(live) > 1 and t < cfg.T_max:
         steps = [None] * len(live)
-        if batched:
+        if METHODS[cfg.method].route == "reverse":
             try:
                 g, ys, active = _method_gradient(
                     problem, np.array([run.x for run in live]), cfg,

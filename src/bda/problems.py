@@ -1,7 +1,8 @@
 """Built-in bi-level test problems with analytic derivatives and reference solutions.
 
 Each factory returns a :class:`BilevelProblem` whose callables take the
-upper-level point ``x`` and the lower-level point ``y`` as 1-D float arrays.
+upper-level point ``x`` and the lower-level point ``y`` as 1-D float arrays,
+or as (B, n) / (B, m) arrays of stacked points answered row by row.
 Second derivatives are closed-form products with a vector (no dense Hessian);
 known minimizers, value functions, and lower-level optimal values are attached
 so that metric and verification code has exact references.
@@ -36,9 +37,9 @@ class BilevelProblem:
     ``hess_yx_f(x, y, v)`` returns (grad_yx f)' v = grad_x <grad_y f, v>, of
     length n; ``hess_yy_F`` and ``hess_yx_F`` are the same products for F.
 
-    A ``batched`` problem's ten oracles also take (B, n) / (B, m) arrays, one
-    point per row, and answer row by row: ``F`` and ``f`` a (B,) array, the
-    rest (B, n) or (B, m).  Each row equals the 1-D call on that row.
+    The ten oracles also take (B, n) / (B, m) arrays, one point per row, and
+    answer row by row: ``F`` and ``f`` a (B,) array, the rest (B, n) or
+    (B, m).  Each row has the bits of the 1-D call on that row.
     """
 
     name: str
@@ -67,7 +68,6 @@ class BilevelProblem:
     x_opt: Optional[Array] = None
     y_opt: Optional[Array] = None
     metadata: dict = field(default_factory=dict)
-    batched: bool = False
 
     def require(self, *fields: str) -> None:
         missing = [name for name in fields if getattr(self, name) is None]
@@ -90,14 +90,17 @@ def _dot(a, b, keepdims=True):
     return np.vecdot(a, b, keepdims=keepdims)
 
 
-def _per_row(value):
-    """A value oracle that also takes (B, n) / (B, m) rows, by one call per
-    row: a float ** 2 (libm pow) and an array's ** 2 (a product) can round
-    one ulp apart, so a vectorized value would not equal the 1-D one."""
-    def rows(x, y):
-        if np.ndim(y) == 1:
-            return value(x, y)
-        return np.array([value(xb, yb) for xb, yb in zip(x, y)])
+def _per_row(oracle):
+    """A 1-D oracle, of (x, y) or a product of (x, y, v), that also takes
+    (B, n) / (B, m) rows, by one call per row.  Value oracles use it where a
+    float ** 2 (libm pow) and an array's ** 2 (a product) can round one ulp
+    apart, so a vectorized value would not equal the 1-D one."""
+    def rows(x, y, v=None):
+        if y.ndim == 1:
+            return oracle(x, y) if v is None else oracle(x, y, v)
+        if v is None:
+            return np.array([oracle(xb, yb) for xb, yb in zip(x, y)])
+        return np.array([oracle(*point) for point in zip(x, y, v)])
     return rows
 
 
@@ -227,7 +230,6 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=e.copy(), y_opt=np.concatenate([e, e]),
-        batched=True,
     )
 
 
@@ -240,35 +242,38 @@ def make_counterexample(n: int, x_radius: float = 100.0,
 def make_remark1() -> BilevelProblem:
     """Two-dimensional LL with a flat direction that plain descent never moves."""
 
+    @_per_row
     def F(x, y):
         return float(0.5 * (x[0] - y[1]) ** 2 + 0.5 * (y[0] - 1.0) ** 2)
 
+    @_per_row
     def f(x, y):
         return float(0.5 * y[0] ** 2 - x[0] * y[0])
 
     def grad_x_F(x, y):
-        return np.array([x[0] - y[1]])
+        return x - y[..., 1:]
 
     def grad_y_F(x, y):
-        return np.array([y[0] - 1.0, y[1] - x[0]])
+        return np.stack([y[..., 0] - 1.0, y[..., 1] - x[..., 0]], axis=-1)
 
     def grad_y_f(x, y):
-        return np.array([y[0] - x[0], 0.0])
+        return np.stack([y[..., 0] - x[..., 0], np.zeros_like(y[..., 1])],
+                        axis=-1)
 
     def grad_x_f(x, y):
-        return np.array([-y[0]])
+        return -y[..., :1]
 
     def hess_yy_F(x, y, v):
         return np.array(v, dtype=float)
 
     def hess_yx_F(x, y, v):
-        return np.array([-v[1]])
+        return -v[..., 1:]
 
     def hess_yy_f(x, y, v):
-        return np.array([v[0], 0.0])
+        return np.stack([v[..., 0], np.zeros_like(v[..., 1])], axis=-1)
 
     def hess_yx_f(x, y, v):
-        return np.array([-v[0]])
+        return -v[..., :1]
 
     def y_star_of_x(x):
         # UL-optimal member of S(x) = {(x, t) : t free}
@@ -320,14 +325,15 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
         raise ContractError("epsilon must be positive")
     base = make_remark1()
 
+    @_per_row
     def f(x, y):
         return float(0.5 * y[0] ** 2 + 0.5 * epsilon * y[1] ** 2 - x[0] * y[0])
 
     def grad_y_f(x, y):
-        return np.array([y[0] - x[0], epsilon * y[1]])
+        return np.stack([y[..., 0] - x[..., 0], epsilon * y[..., 1]], axis=-1)
 
     def hess_yy_f(x, y, v):
-        return np.array([v[0], epsilon * v[1]])
+        return np.stack([v[..., 0], epsilon * v[..., 1]], axis=-1)
 
     def y_star_of_x(x):
         return np.array([x[0], 0.0])
@@ -450,7 +456,6 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
         x_opt=x_opt, y_opt=M @ x_opt,
         metadata={"A": A},
-        batched=True,
     )
 
 
@@ -676,15 +681,16 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     L_f = float(0.5 * train_row_sq.sum())
     L_F = float(0.5 * val_row_sq.sum())
 
+    # the 1-D oracles answer rows one row at a time, each through the memos
     return BilevelProblem(
         name="hyperclean", n=n, m=m,
         region_x=BoxRegion.whole_space(n),
         region_y=BoxRegion.cube(m, -100.0, 100.0),
-        F=F, f=f,
-        grad_x_F=grad_x_F, grad_y_F=grad_y_F, grad_y_f=grad_y_f,
-        grad_x_f=grad_x_f,
-        hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
-        hess_yy_F=hess_yy_F, hess_yx_F=hess_yx_F,
+        F=_per_row(F), f=_per_row(f),
+        grad_x_F=_per_row(grad_x_F), grad_y_F=_per_row(grad_y_F),
+        grad_y_f=_per_row(grad_y_f), grad_x_f=_per_row(grad_x_f),
+        hess_yy_f=_per_row(hess_yy_f), hess_yx_f=_per_row(hess_yx_f),
+        hess_yy_F=_per_row(hess_yy_F), hess_yx_F=_per_row(hess_yx_F),
         L_F=L_F, L_f=L_f, F_lower_bound=0.0,
         metadata={"config": cfg, "train": train, "val": val, "test": test,
                   "corrupted_mask": corrupted_mask},

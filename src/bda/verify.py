@@ -201,18 +201,18 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
 
     D = problem.region_y.diameter() * infl  # the exact box diagonal, inflated
     xs, ys = _sample_points(problem, rng, 200)
-    gF = [np.linalg.norm(problem.grad_y_F(xi, yi)) for xi, yi in zip(xs, ys)]
-    gf = [np.linalg.norm(problem.grad_y_f(xi, yi)) for xi, yi in zip(xs, ys)]
-    M_F = _sampled_sup(gF, infl)
-    M_f = _sampled_sup(gf, infl)
+    # one row call per oracle; vecdot and svd give each sample the bits of
+    # np.linalg.norm on that sample alone
+    M_F, M_f = (_sampled_sup(np.sqrt(np.vecdot(G, G)), infl)
+                for G in (problem.grad_y_F(xs, ys), problem.grad_y_f(xs, ys)))
 
     def sup_hessian_norm(name):
         problem.require(name)
         product = getattr(problem, name)
-        return _sampled_sup(
-            [np.linalg.norm(product_rows(
-                lambda v: product(xi, yi, v), problem.m), 2)
-             for xi, yi in zip(xs, ys)], infl)
+        hessians = product_rows(lambda v: product(xs, ys, v), problem.m,
+                                xs.shape[:1])
+        return _sampled_sup(np.linalg.svd(hessians, compute_uv=False)[:, 0],
+                            infl)
 
     L_F = problem.L_F if problem.L_F is not None \
         else sup_hessian_norm("hess_yy_F")
@@ -420,14 +420,9 @@ def check_stationarity(problem: BilevelProblem, grid, sched: AggregationSchedule
     each horizon in k_list (forward propagation over the aggregated dynamics).
 
     The grid points are the rows of one ``hypergrad_forward`` call per
-    horizon, so the problem must be ``batched``; each row has the bits of
-    its point run alone.  An empty grid or k_list is a ContractError: a sup
-    over nothing would pass any bound."""
+    horizon; each row has the bits of its point run alone.  An empty grid or
+    k_list is a ContractError: a sup over nothing would pass any bound."""
     problem.require("grad_phi_of_x")
-    if not problem.batched:
-        raise CapabilityError(
-            f"problem '{problem.name}' is not batched: the stationarity audit "
-            f"runs its grid as rows")
     points = [as_vector(x, dim=problem.n, name="x") for x in grid]
     horizons = [int(K) for K in k_list]
     if not points or not horizons:

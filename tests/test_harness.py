@@ -18,7 +18,7 @@ from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          hyperclean_baseline, hyperclean_metrics, load_config,
                          parse_trace, run_experiment, suite_counterexample,
                          suite_hyperclean, default_hyperclean_solver,
-                         write_summary)
+                         verify_suite, write_summary)
 from bda.inner import AggregationSchedule
 from bda.numerics import ContractError
 from bda.outer import SolverConfig, config_dict, solve
@@ -198,13 +198,18 @@ def _assert_seeds_match_solo_solves(exp, problem, tmp_path):
 
 @pytest.mark.parametrize("lam", [None, 0.5])
 @pytest.mark.parametrize("problem,params", [
-    ("remark1", {}), ("lls_quadratic", {"n": 3, "m": 4, "seed": 2})])
+    ("remark1", {}), ("lls_quadratic", {"n": 3, "m": 4, "seed": 2}),
+    ("hyperclean", {"num_classes": 2, "feature_dim": 2, "n_train": 8,
+                    "n_val": 8, "n_test": 8, "corruption_fraction": 0.25,
+                    "seed": 3})])
 def test_run_experiment_seeds_equal_solo_solves(tmp_path, problem, params,
                                                 lam):
+    # hyperclean's smoothness constants ask for smaller steps
+    steps = {"su": 0.001, "sl": 0.001} if problem == "hyperclean" else {}
     cfg_path = _write_config(str(tmp_path / "cfg.json"), problem=problem,
                              problem_params=params, method="bda", K=5,
                              T_max=12, seeds=[3, 0, 5], verbosity="full",
-                             **{"lambda": lam})
+                             **{"lambda": lam}, **steps)
     exp = load_config(cfg_path)
     exp.out_dir = str(tmp_path / "out")
     summaries = run_experiment(exp)
@@ -399,12 +404,16 @@ def test_config_out_must_be_a_string(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("x0", ["abc", [[0.1], [0.1, 0.2]]])
+@pytest.mark.parametrize("x0", ["abc", [[0.1], [0.1, 0.2]], [float("nan")],
+                                [float("inf")], True])
 def test_cli_run_x0_that_is_not_floats_exits_3(tmp_path, capsys, x0):
+    # json.dump writes NaN and Infinity, which json.load reads back (as it
+    # reads 1e999); neither may reach the run as a start
     cfg_path = _write_config(str(tmp_path / "cfg.json"), x0=x0)
     assert cli_main(["run", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "x0: not an array of floats" in capsys.readouterr().err
+    assert re.search(r"x0(\[\d+\])? must be", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_with_failing_default_step_probes_writes_aborted_summary(tmp_path):
@@ -593,6 +602,13 @@ def test_cli_gradcheck_rejects_truncated_trhg(capsys):
                      "--K", "10"])
     assert code == EXIT_CONFIG
     assert "bda and rhg" in capsys.readouterr().err
+
+
+def test_verify_suite_unknown_name_makes_no_directory(tmp_path):
+    out = tmp_path / "v"
+    with pytest.raises(ContractError, match="unknown verify suite"):
+        verify_suite("lemma2", str(out))
+    assert not out.exists()
 
 
 def test_cli_verify_lemma1(tmp_path, capsys):

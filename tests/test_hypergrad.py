@@ -179,14 +179,8 @@ def test_one_schedule_per_row_of_x():
         hypergrad_reverse(p, np.zeros(2), 2, ROW_SCHEDS[:1])
 
 
-def test_rows_need_a_batched_problem_and_matching_y0_rows():
+def test_rows_need_matching_y0_rows():
     sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
-    with pytest.raises(ContractError, match="1-D"):
-        run_inner(make_remark1(), np.zeros((2, 1)), 3, sched)
-    with pytest.raises(ContractError, match="1-D"):
-        hypergrad_reverse(make_remark1(), np.zeros((2, 1)), 3, sched)
-    with pytest.raises(ContractError, match="1-D"):
-        hypergrad_forward(make_remark1(), np.zeros((2, 1)), 3, sched)
     with pytest.raises(ContractError, match="does not fit"):
         run_inner(make_counterexample(2), np.zeros((3, 2)), 3, sched,
                   y0=np.zeros((2, 4)))

@@ -9,8 +9,9 @@ from bda.hypergrad import hypergrad_onestage
 from bda.inner import AggregationSchedule, default_y0, run_inner
 from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
 from bda.outer import SolverConfig, outer_step, solve, solve_many
-from bda.problems import (make_counterexample, make_lls_quadratic,
-                          make_remark1, remark1_plain_descent_limit)
+from bda.problems import (HypercleanConfig, make_counterexample,
+                          make_hypercleaning, make_lls_quadratic, make_remark1,
+                          remark1_plain_descent_limit)
 
 SCHED = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
 
@@ -391,24 +392,24 @@ def test_solve_many_aborts_only_the_diverging_start(method, n, rows, bad,
 
 
 @pytest.mark.parametrize("method", ["bda", "rhg", "ihg", "obda"])
-def test_solve_many_on_an_unbatched_problem_equals_solve_bitwise(method):
-    # remark1 is not batched: every start runs alone, with solve's arithmetic;
-    # ihg aborts on its singular Hessian, and no lambda runs the probes
-    p = make_remark1()
-    X = np.array([[0.0], [0.8], [-1.5]])
-    for lam in (0.5, None):
-        cfg = SolverConfig(method=method, K=1 if method == "obda" else 10,
-                           lam=lam, T_max=40, sched=SCHED, stop_tol=1e-10)
-        for record, x0 in zip(solve_many(p, cfg, X, keep_inner=True), X):
-            solo = solve(p, cfg, x0=x0, keep_inner=True)
-            assert (record.status, record.error, record.config) == \
-                (solo.status, solo.error, solo.config)
-            assert record.xs.tobytes() == solo.xs.tobytes()
-            assert record.y_final.tobytes() == solo.y_final.tobytes()
-            for name, vals in solo.metrics.items():
-                assert record.metrics[name].tobytes() == vals.tobytes()
-            assert [r.tobytes() for r in record.inner_rows] == \
-                [r.tobytes() for r in solo.inner_rows]
+def test_solve_many_on_remark1_and_hyperclean_equals_solve_bitwise(method):
+    # bda and rhg step the starts as rows (remark1's own row kernels,
+    # hyperclean's one call per row), ihg and obda one start at a time; on
+    # remark1 ihg aborts on its singular Hessian, and no lambda runs the probes
+    hyperclean = make_hypercleaning(HypercleanConfig(
+        num_classes=2, feature_dim=2, n_train=8, n_val=8, n_test=8,
+        corruption_fraction=0.25, seed=3))
+    cases = [(make_remark1(), np.array([[0.0], [0.8], [-1.5]]), SCHED, 40),
+             (hyperclean, rng_stream(4).standard_normal((3, 8)),
+              AggregationSchedule(mu=0.1, s_u=0.001, s_l=0.001), 4)]
+    for p, X, sched, T_max in cases:
+        for lam in (0.5, None):
+            cfg = SolverConfig(method=method, K=1 if method == "obda" else 10,
+                               lam=lam, T_max=T_max, sched=sched,
+                               stop_tol=1e-10)
+            for record, x0 in zip(solve_many(p, cfg, X, keep_inner=True), X):
+                _assert_bitwise_same_run(
+                    record, solve(p, cfg, x0=x0, keep_inner=True))
 
 
 def test_solve_many_takes_rows_of_starts():

@@ -24,14 +24,16 @@ def _sample_xy(problem, rng, scale=0.7):
     return problem.region_x.project(x), problem.region_y.project(y)
 
 
+SMALL_HYPERCLEAN = HypercleanConfig(num_classes=2, feature_dim=2, n_train=8,
+                                    n_val=8, n_test=8,
+                                    corruption_fraction=0.25, seed=3)
+
 ALL_PROBLEMS = [
     make_counterexample(2),
     make_remark1(),
     make_remark1_regularized(0.05),
     make_lls_quadratic(2, 3, seed=1),
-    make_hypercleaning(HypercleanConfig(num_classes=2, feature_dim=2,
-                                        n_train=8, n_val=8, n_test=8,
-                                        corruption_fraction=0.25, seed=3)),
+    make_hypercleaning(SMALL_HYPERCLEAN),
 ]
 
 ORACLES = ("F", "f", "grad_x_F", "grad_y_F", "grad_y_f", "grad_x_f",
@@ -41,7 +43,7 @@ ORACLES = ("F", "f", "grad_x_F", "grad_y_F", "grad_y_f", "grad_x_f",
 def _in_rows(problem, label=None, rows=3, at=1):
     """``problem``, named ``<label>-rows``, whose oracles answer from row
     ``at`` of one call on ``rows`` stacked points, the other rows random: the
-    batched oracles, seen through the 1-D contract."""
+    row oracles, seen through the 1-D contract."""
     rng = rng_stream(7)
     fill = (rng.standard_normal((rows, problem.n)),
             rng.standard_normal((rows, problem.m)),
@@ -59,9 +61,10 @@ def _in_rows(problem, label=None, rows=3, at=1):
         **{name: row_of(getattr(problem, name)) for name in ORACLES})
 
 
-# every problem through its 1-D oracles, and the batched ones through rows
-ORACLE_CASES = [*ALL_PROBLEMS, _in_rows(make_counterexample(2)),
-                _in_rows(make_lls_quadratic(2, 3, seed=1), "lls")]
+# every problem through its 1-D oracles, and through rows
+ORACLE_CASES = [*ALL_PROBLEMS, *(
+    _in_rows(p, "lls" if p.name.startswith("lls") else None)
+    for p in ALL_PROBLEMS)]
 
 
 @pytest.mark.parametrize("problem", ORACLE_CASES, ids=lambda p: p.name)
@@ -164,20 +167,24 @@ def test_hyperclean_products_match_dense_hessian():
 # counter-example
 # ---------------------------------------------------------------------------
 
-# the batched problems, each drawn at LL dimension 2n or m
-BATCHED = {"counterexample": lambda n, m, seed: make_counterexample(n),
-           "lls": make_lls_quadratic}
+# every built-in problem; the counterexample is drawn at LL dimension 2n,
+# lls_quadratic at m, the others at their fixed sizes
+ROW_PROBLEMS = {
+    "counterexample": lambda n, m, seed: make_counterexample(n),
+    "lls": make_lls_quadratic,
+    "remark1": lambda n, m, seed: make_remark1(),
+    "remark1_regularized": lambda n, m, seed: make_remark1_regularized(0.05),
+    "hyperclean": lambda n, m, seed: make_hypercleaning(SMALL_HYPERCLEAN)}
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(kind=st.sampled_from(sorted(BATCHED)), n=st.integers(1, 6),
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(kind=st.sampled_from(sorted(ROW_PROBLEMS)), n=st.integers(1, 6),
        m=st.integers(1, 8), rows=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_counterexample_oracles_answer_row_by_row(kind, n, m, rows, seed):
     # each row of a call on (B, .) arrays is the 1-D call on that row, bit
-    # for bit; F and f give a (B,) array.  lls_quadratic answers the same way
-    p = BATCHED[kind](n, m, seed)
-    assert p.batched
+    # for bit; F and f give a (B,) array.  Every built-in problem answers so
+    p = ROW_PROBLEMS[kind](n, m, seed)
     rng = rng_stream(seed)
     X = 2.0 * rng.standard_normal((rows, p.n))
     Y, V = 2.0 * rng.standard_normal((2, rows, p.m))

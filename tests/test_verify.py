@@ -6,10 +6,11 @@ import pytest
 
 from bda.hypergrad import hypergrad_forward, hypergrad_reverse
 from bda.inner import AggregationSchedule, run_inner
-from bda.numerics import CapabilityError, ContractError
+from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
 from bda.problems import (lls_quadratic, make_counterexample,
-                          make_lls_quadratic, make_remark1)
-from bda.verify import (check_descent_inequality, check_nonexpansive,
+                          make_lls_quadratic, make_remark1, product_rows)
+from bda.verify import (TOLERANCES, _sample_points, _sampled_sup,
+                        check_descent_inequality, check_nonexpansive,
                         check_rate_bound, check_stationarity,
                         compute_rate_constants, corrupted_constants,
                         descent_slack, fd_gradient, grid_argmin,
@@ -114,6 +115,31 @@ def test_rate_constants_monotone_in_ul_step():
     rc1 = compute_rate_constants(problem, smaller, x=x)
     rc2 = compute_rate_constants(problem, sched, x=x)
     assert rc2.C3 >= rc1.C3
+
+
+@pytest.mark.parametrize("kind", ["counterexample", "lls"])
+def test_rate_constants_equal_the_per_sample_loops(kind):
+    # the sups before they took one row call per oracle: one 1-D call, norm
+    # and spectral norm per sample.  The counterexample declares no L_F, so
+    # its hess_yy_F sup is sampled too
+    if kind == "counterexample":
+        problem = make_counterexample(5)
+    else:
+        problem = dataclasses.replace(make_lls_quadratic(2, 3, seed=4),
+                                      region_y=BoxRegion.cube(3, -2.0, 2.0))
+    sched = AggregationSchedule(mu=0.1, s_u=1e-9, s_l=0.5 / problem.L_f)
+    rc = compute_rate_constants(problem, sched, x=np.ones(problem.n))
+    xs, ys = _sample_points(problem, rng_stream(0), 200)
+    infl = TOLERANCES.sup_inflation
+    M_F = _sampled_sup([np.linalg.norm(problem.grad_y_F(x, y))
+                        for x, y in zip(xs, ys)], infl)
+    M_f = _sampled_sup([np.linalg.norm(problem.grad_y_f(x, y))
+                        for x, y in zip(xs, ys)], infl)
+    L_F = problem.L_F if problem.L_F is not None else _sampled_sup(
+        [np.linalg.norm(product_rows(
+            lambda v: problem.hess_yy_F(x, y, v), problem.m), 2)
+         for x, y in zip(xs, ys)], infl)
+    assert (rc.M_F, rc.M_f, rc.L_F) == (M_F, M_f, L_F)
 
 
 def test_rate_constants_need_compact_regions():
@@ -239,19 +265,15 @@ def _criterion7():
 
 def test_stationarity_rows_equal_the_per_point_loop():
     # the audit before its grid ran as rows: one forward call per point
-    p, sched, grid = _criterion7()
-    k_list = [10, 1000]
-    expected = [max(float(np.linalg.norm(
-        hypergrad_forward(p, x, K, sched, mode="bda").gradient
-        - p.grad_phi_of_x(x))) for x in grid) for K in k_list]
-    errs = check_stationarity(p, grid, sched, k_list)
-    assert errs.tobytes() == np.array(expected).tobytes()
-
-
-def test_stationarity_needs_a_batched_problem():
-    sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
-    with pytest.raises(CapabilityError, match="batched"):
-        check_stationarity(make_remark1(), [np.array([0.5])], sched, [10])
+    remark1 = (make_remark1(), AggregationSchedule(mu=0.1, s_u=0.5, s_l=0.5),
+               [np.array([t]) for t in np.linspace(-2.0, 2.0, 5)])
+    for p, sched, grid in (_criterion7(), remark1):
+        k_list = [10, 1000]
+        expected = [max(float(np.linalg.norm(
+            hypergrad_forward(p, x, K, sched, mode="bda").gradient
+            - p.grad_phi_of_x(x))) for x in grid) for K in k_list]
+        errs = check_stationarity(p, grid, sched, k_list)
+        assert errs.tobytes() == np.array(expected).tobytes(), p.name
 
 
 def test_stationarity_rejects_an_empty_grid_or_horizon_list():
