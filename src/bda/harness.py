@@ -327,7 +327,6 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
                            "suite_counterexample")
     if typed_value("num_inits", num_inits, int) < 0:
         raise ContractError(f"num_inits must be >= 0, got {num_inits}")
-    os.makedirs(out, exist_ok=True)
     problem = make_counterexample(n)
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
                                 alpha_rule="harmonic", alpha_scale=0.5)
@@ -341,8 +340,9 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
         base.update(kw)
         return SolverConfig(**base)
 
+    method_cfgs = {method: cfg_for(method) for method in methods}
     summary: dict = {"n": n, "K": K, "methods": methods,
-                     "schedule": config_dict(cfg_for(methods[0]))}
+                     "schedule": config_dict(method_cfgs[methods[0]])}
 
     # the origin, then the initialization sweep's shared random starts
     rng = rng_stream(seed)
@@ -356,9 +356,10 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     alpha_cfgs = [cfg_for("bda", sched=AggregationSchedule(
         mu=0.5, s_u=0.1, s_l=0.1, alpha_rule=rule, alpha_scale=scale))
         for _, rule, scale in alpha_sweep]
+    os.makedirs(out, exist_ok=True)  # every config is valid by now
 
     def run_method(method):
-        cfgs, X0 = [cfg_for(method)] * len(starts), starts
+        cfgs, X0 = [method_cfgs[method]] * len(starts), starts
         if method == "bda":  # the alpha sweep's rows, from the origin
             cfgs = cfgs + alpha_cfgs
             X0 = np.vstack([starts, np.zeros((len(alpha_cfgs), n))])
@@ -485,8 +486,10 @@ def default_hyperclean_solver(problem: BilevelProblem, method: str,
 
 def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
     methods = _method_list(methods, tuple(METHODS), "suite_hyperclean")
-    os.makedirs(out, exist_ok=True)
     problem = make_hypercleaning(cfg)
+    solvers = {m: default_hyperclean_solver(problem, m, seed=cfg.seed)
+               for m in methods}
+    os.makedirs(out, exist_ok=True)  # the problem and configs are valid
 
     _write_csv(os.path.join(out, "dataset.csv"),
                ["split", "index", "label", "corrupted_flag",
@@ -497,9 +500,8 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
     results = [hyperclean_baseline(problem, K=40, sched=base_sched)]
 
     def run_method(method):
-        solver = default_hyperclean_solver(problem, method, seed=cfg.seed)
         start = time.perf_counter()
-        record = solve(problem, solver)
+        record = solve(problem, solvers[method])
         wall = time.perf_counter() - start
         metrics = hyperclean_metrics(problem, record.x_final, record.y_final)
         metrics.update({"method": method, "wall_time_s": wall,
@@ -543,7 +545,7 @@ def verify_suite(name: str, out: str) -> dict:
             x = 0.25 * np.ones(problem.n)
             _, trace = run_inner(problem, x, 60, sched, mode="bda")
             rep = verify_mod.check_descent_inequality(
-                problem, x, trace, sched, num_test_points=100, seed=11)
+                problem, x, trace, num_test_points=100, seed=11)
             rep.check_name = f"descent_inequality[{problem.name}]"
             reports.append(rep)
             rep = verify_mod.check_nonexpansive(problem, x, trace)

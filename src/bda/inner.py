@@ -8,7 +8,9 @@ The aggregated step mixes scaled descent directions of both objectives,
 and is computed as the convex combination of the two auxiliary points
 z_u = y_k - s_u * alpha_k * grad_y F and z_l = y_k - s_l * beta_k * grad_y f
 so that, when the projection is inactive, y_{k+1} equals
-mu * z_u + (1 - mu) * z_l bit-for-bit.
+mu * z_u + (1 - mu) * z_l bit-for-bit.  The auxiliary points are locals of
+the step; the trace keeps the iterates, the weights and the clamped
+coordinates, and the audits in ``verify`` derive z_u and z_l from them.
 """
 from __future__ import annotations
 
@@ -144,8 +146,6 @@ class InnerTrace:
     and betas are (K, B, 1)."""
 
     ys: np.ndarray            # (K+1, m)
-    z_u: np.ndarray           # (K, m)   y_k - s_u alpha_k grad_y F
-    z_l: np.ndarray           # (K, m)   y_k - s_l beta_k grad_y f
     alphas: np.ndarray        # (K,)
     betas: np.ndarray         # (K,)
     proj_active: np.ndarray   # (K, m) bool, per-coordinate clamping
@@ -170,15 +170,14 @@ def _step_error(k, gF, gf, pre) -> Exception:
 def _step(problem: BilevelProblem, x, y, k, s_l: float,
           sched: AggregationSchedule | None = None,
           alpha: float = 0.0, beta: float = 0.0):
-    """(y_next, z_u, z_l, pre) of inner step k from a checked (x, y): the
+    """(y_next, pre) of inner step k from a checked (x, y): the
     aggregated step of ``sched`` with weights alpha, beta, else the plain step
     y - s_l grad_y f; on (B, m) rows the coefficients may be (B, 1) columns
     (see ``schedule_rows``).  Its one check, of ``pre``, runs before the
     clamp, so a non-finite gradient raises instead of being clamped into Y."""
     if sched is None:
         gF, gf = None, np.asarray(problem.grad_y_f(x, y), dtype=float)
-        z_u = y
-        z_l = pre = y - s_l * gf
+        pre = y - s_l * gf
     else:
         gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
         gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
@@ -187,15 +186,15 @@ def _step(problem: BilevelProblem, x, y, k, s_l: float,
         pre = sched.mu * z_u + (1.0 - sched.mu) * z_l
     if pre.shape != y.shape or not np.isfinite(pre).all():
         raise _step_error(k, gF, gf, pre)
-    return problem.region_y.clamp(pre), z_u, z_l, pre
+    return problem.region_y.clamp(pre), pre
 
 
 def aggregated_step(problem: BilevelProblem, x, y, k: int,
                     sched: AggregationSchedule):
-    """One aggregated projected step; returns (y_next, z_u, z_l)."""
+    """One aggregated projected step; returns y_{k+1}."""
     x, y = problem.check_point(x, y)
     return _step(problem, x, y, k, sched.s_l, sched, sched.alpha(k),
-                 sched.beta(k))[:3]
+                 sched.beta(k))[0]
 
 
 def plain_gd_step(problem: BilevelProblem, x, y, s_l: float):
@@ -215,10 +214,9 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     """Run K inner steps from y0 (default: 0 projected onto Y).
 
     Returns (y_K, InnerTrace).  mode 'bda' performs aggregated steps, mode
-    'plain' performs lower-level gradient steps with step size sched.s_l; in
-    plain mode the stored auxiliaries are z_u = y_k (no UL move) and
-    z_l = y_{k+1} before projection.  Only gradients are evaluated; the f and
-    F values along the run come from ``inner_values`` on request.
+    'plain' performs lower-level gradient steps with step size sched.s_l.
+    Only gradients are evaluated; the f and F values along the run come from
+    ``inner_values`` on request.
 
     x may be a (B, n) array: the rows run together, each from its row of a
     (B, m) y0 or from a shared (m,) one, and one non-finite row raises for
@@ -239,8 +237,6 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
 
     shape = (*x.shape[:-1], problem.m)
     ys = np.empty((K + 1, *shape))
-    z_u = np.empty((K, *shape))
-    z_l = np.empty((K, *shape))
     alphas, betas = sched.weights(K)
     proj_active = np.zeros((K, *shape), dtype=bool)
     aggregated = sched if mode == "bda" else None
@@ -248,12 +244,12 @@ def run_inner(problem: BilevelProblem, x, K: int, sched: AggregationSchedule,
     ys[0] = y
     y = ys[0]  # a shared y0 now fills every row
     for k in range(K):
-        y_next, z_u[k], z_l[k], pre = _step(problem, x, y, k, sched.s_l,
-                                            aggregated, alphas[k], betas[k])
+        y_next, pre = _step(problem, x, y, k, sched.s_l, aggregated,
+                            alphas[k], betas[k])
         proj_active[k] = y_next != pre
         ys[k + 1] = y = y_next
 
-    trace = InnerTrace(ys=ys, z_u=z_u, z_l=z_l, alphas=alphas, betas=betas,
+    trace = InnerTrace(ys=ys, alphas=alphas, betas=betas,
                        proj_active=proj_active, sched=sched)
     return y, trace
 

@@ -280,16 +280,16 @@ def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
 
     # need z^l_{k+1} up to k = k_max, i.e. k_max + 1 inner steps
     _, trace = run_inner(problem, x, k_max + 1, sched, mode="bda")
+    _, z_l = _auxiliary_points(problem, x, trace)
     f_star = float(problem.f_star_of_x(x))
     total = 2.0 * rc.C2 + rc.C3
     violations = []
     worst = math.inf
     for k in range(2, k_max + 1):
         decay = (1.0 + math.log(k)) / k ** 0.25
-        lhs_dist = float(np.dot(trace.ys[k] - trace.z_l[k],
-                                trace.ys[k] - trace.z_l[k]))
+        lhs_dist = float(np.dot(trace.ys[k] - z_l[k], trace.ys[k] - z_l[k]))
         rhs_dist = total / rc.beta_lower ** 2 * decay
-        lhs_gap = problem.f(x, trace.z_l[k]) - f_star
+        lhs_gap = problem.f(x, z_l[k]) - f_star
         rhs_gap = rc.D / (rc.beta_lower ** 2 * rc.s_l) \
             * math.sqrt(total) * math.sqrt(decay)
         for name, lhs, rhs in (("distance", lhs_dist, rhs_dist),
@@ -309,19 +309,29 @@ def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
 # descent inequality and nonexpansiveness audits
 # ---------------------------------------------------------------------------
 
-def descent_slack(problem: BilevelProblem, x, trace: InnerTrace,
-                  sched: AggregationSchedule, k: int, y_test) -> float:
-    """Slack of the aggregated-step descent inequality at step k and test
-    point y_test (nonnegative when the inequality holds)."""
-    problem.require("L_F", "L_f")
-    x = as_vector(x, dim=problem.n, name="x")
-    y_test = as_vector(y_test, dim=problem.m, name="y_test")
-    if not (0 <= k < trace.K):
-        raise ContractError("k outside trace range")
+def _auxiliary_points(problem: BilevelProblem, x, trace: InnerTrace):
+    """(z_u, z_l) at every y_k of a 'bda' trace from one checked x, by the
+    step's own expressions in one row call per gradient: the bits the step
+    computed.  A trace of rows of x, or of no steps, is refused."""
+    if trace.ys.shape != (trace.K + 1, problem.m) or trace.K < 1:
+        raise ContractError(f"audits read a trace of one x with at least one "
+                            f"step, got ys of shape {trace.ys.shape}")
+    sched = trace.sched
+    ys = trace.ys[:-1]
+    rows = (np.broadcast_to(x, (trace.K, problem.n)), ys)
+    g_F = np.asarray(problem.grad_y_F(*rows), dtype=float)
+    g_f = np.asarray(problem.grad_y_f(*rows), dtype=float)
+    return (ys - trace.alphas[:, None] * (sched.s_u * g_F),
+            ys - trace.betas[:, None] * (sched.s_l * g_f))
+
+
+def _slack(problem: BilevelProblem, x, trace: InnerTrace, k: int, y_test,
+           z_u, z_l) -> float:
+    """The descent inequality's slack at step k, given its auxiliary points."""
+    sched = trace.sched
     mu, s_u, s_l = sched.mu, sched.s_u, sched.s_l
     a_k, b_k = trace.alphas[k], trace.betas[k]
     y_k, y_next = trace.ys[k], trace.ys[k + 1]
-    z_u, z_l = trace.z_u[k], trace.z_l[k]
     L_F, L_f = problem.L_F, problem.L_f
 
     def sq(v):
@@ -339,6 +349,20 @@ def descent_slack(problem: BilevelProblem, x, trace: InnerTrace,
     return lhs - rhs
 
 
+def descent_slack(problem: BilevelProblem, x, trace: InnerTrace, k: int,
+                  y_test) -> float:
+    """Slack of the aggregated-step descent inequality at step k of a 'bda'
+    trace and test point y_test (nonnegative when the inequality holds),
+    under the schedule the trace ran with."""
+    problem.require("L_F", "L_f")
+    x = as_vector(x, dim=problem.n, name="x")
+    y_test = as_vector(y_test, dim=problem.m, name="y_test")
+    if not (0 <= k < trace.K):
+        raise ContractError("k outside trace range")
+    z_u, z_l = _auxiliary_points(problem, x, trace)
+    return _slack(problem, x, trace, k, y_test, z_u[k], z_l[k])
+
+
 def _sample_test_points(problem: BilevelProblem, trace: InnerTrace,
                         rng, count: int) -> np.ndarray:
     if problem.region_y.is_bounded:
@@ -349,16 +373,20 @@ def _sample_test_points(problem: BilevelProblem, trace: InnerTrace,
 
 
 def check_descent_inequality(problem: BilevelProblem, x, trace: InnerTrace,
-                             sched: AggregationSchedule,
                              num_test_points: int = 100,
                              seed: int = 0) -> CheckReport:
-    """Minimum descent-inequality slack over random (k, y_test) pairs.
+    """Minimum descent-inequality slack over random (k, y_test) pairs of a
+    'bda' trace, under the schedule the trace ran with.
 
     A schedule that breaks the step-size hypotheses is reported as a
     hypothesis breach up front; slacks are still evaluated for diagnosis.
     """
     problem.require("L_F", "L_f")
-    breaches = sched.breaches(problem.L_F, problem.L_f)
+    if num_test_points < 1:
+        raise ContractError("num_test_points must be >= 1")
+    x = as_vector(x, dim=problem.n, name="x")
+    z_u, z_l = _auxiliary_points(problem, x, trace)
+    breaches = trace.sched.breaches(problem.L_F, problem.L_f)
     rng = rng_stream(seed)
     ks = rng.integers(0, trace.K, size=num_test_points)
     y_tests = _sample_test_points(problem, trace, rng, num_test_points)
@@ -370,7 +398,7 @@ def check_descent_inequality(problem: BilevelProblem, x, trace: InnerTrace,
     worst_loc = ""
     violations = []
     for k, y_test in pairs:
-        slack = descent_slack(problem, x, trace, sched, int(k), y_test)
+        slack = _slack(problem, x, trace, k, y_test, z_u[k], z_l[k])
         if slack < worst:
             worst = slack
             worst_loc = f"k={int(k)}"
@@ -388,17 +416,18 @@ def check_descent_inequality(problem: BilevelProblem, x, trace: InnerTrace,
 
 
 def check_nonexpansive(problem: BilevelProblem, x, trace: InnerTrace) -> CheckReport:
-    """Audit |z^l_{k+1} - y_bar| <= |y_k - y_bar| for y_bar in the LL
-    solution set at x (the attached representative)."""
+    """Audit |z^l_{k+1} - y_bar| <= |y_k - y_bar| along a 'bda' trace, for
+    y_bar in the LL solution set at x (the attached representative)."""
     problem.require("y_star_of_x")
     x = as_vector(x, dim=problem.n, name="x")
+    _, z_l = _auxiliary_points(problem, x, trace)
     y_bar = np.asarray(problem.y_star_of_x(x), dtype=float)
     worst = math.inf
     worst_loc = ""
     violations = []
     for k in range(trace.K):
         margin = (float(np.linalg.norm(trace.ys[k] - y_bar))
-                  - float(np.linalg.norm(trace.z_l[k] - y_bar)))
+                  - float(np.linalg.norm(z_l[k] - y_bar)))
         if margin < worst:
             worst = margin
             worst_loc = f"k={k}"

@@ -127,7 +127,7 @@ def test_criterion_04_descent_inequality_audit():
                                     alpha_rule="harmonic")
         x = 0.25 * np.ones(problem.n)
         _, trace = run_inner(problem, x, 60, sched, mode="bda")
-        report = check_descent_inequality(problem, x, trace, sched,
+        report = check_descent_inequality(problem, x, trace,
                                           num_test_points=100, seed=11)
         worst = min(worst, report.worst_margin)
         assert report.status == "pass"
@@ -136,7 +136,7 @@ def test_criterion_04_descent_inequality_audit():
     bad = AggregationSchedule(mu=0.3, s_u=0.5, s_l=2.0 / bad_problem.L_f,
                               alpha_rule="harmonic")
     _, trace = run_inner(bad_problem, np.array([0.25]), 60, bad, mode="bda")
-    neg = check_descent_inequality(bad_problem, np.array([0.25]), trace, bad,
+    neg = check_descent_inequality(bad_problem, np.array([0.25]), trace,
                                    num_test_points=50, seed=1)
     ok = worst >= -1e-9 and neg.status == "hypothesis-breach"
     _report(4, "descent-inequality-audit", ok,

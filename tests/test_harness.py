@@ -722,6 +722,23 @@ def test_suite_counterexample_rejects_empty_or_repeated_methods(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--n", "0", "--K", "2", "--methods", "bda"],
+    ["counterexample", "--n", "2", "--K", "0", "--methods", "bda,rhg"],
+    ["hyperclean", "--methods", "bda"],
+])
+def test_suites_refuse_bad_input_before_creating_out(tmp_path, capsys, argv):
+    # each exited 3 but left an empty output directory behind
+    out = tmp_path / "out"
+    if argv[0] == "hyperclean":  # two validation samples cannot hold 3 classes
+        cfg_path = tmp_path / "hc.json"
+        cfg_path.write_text(json.dumps({"n_val": 2}), encoding="utf-8")
+        argv = [*argv, "--config", str(cfg_path)]
+    assert cli_main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # hyper-cleaning suite
 # ---------------------------------------------------------------------------

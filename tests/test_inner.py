@@ -9,7 +9,7 @@ from bda.inner import (AggregationSchedule, aggregated_step, inner_values,
 from bda.numerics import BoxRegion, ContractError, NumericalError, rng_stream
 from bda.problems import (make_counterexample, make_lls_quadratic,
                           make_remark1)
-from bda.verify import check_nonexpansive
+from bda.verify import _auxiliary_points, check_nonexpansive
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_aggregated_step_hand_value():
     p = make_remark1()
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1,
                                 alpha_rule="harmonic", alpha_scale=0.5)
-    y1, _, _ = aggregated_step(p, np.array([1.0]), np.array([0.0, 0.0]), 0, sched)
+    y1 = aggregated_step(p, np.array([1.0]), np.array([0.0, 0.0]), 0, sched)
     np.testing.assert_allclose(y1, [0.095, 0.005], rtol=0, atol=1e-15)
 
 
@@ -137,7 +137,7 @@ def test_aggregated_step_alpha_zero_is_plain_projected_step():
                                 alpha_scale=0.0)
     x = np.array([0.5, 0.5])
     y = np.array([0.2, -0.1, 0.0, 0.3])
-    y1, _, _ = aggregated_step(p, x, y, 0, sched)
+    y1 = aggregated_step(p, x, y, 0, sched)
     # with alpha_k = 0 only the (1-mu) beta s_l grad_f term remains
     expected = p.region_y.project(y - (1 - 0.4) * 0.1 * np.asarray(p.grad_y_f(x, y)))
     np.testing.assert_allclose(y1, expected, atol=1e-16)
@@ -149,8 +149,9 @@ def test_convex_combination_identity_exact_when_interior():
     x = 0.5 * np.ones(3)
     _, trace = run_inner(p, x, 30, sched, mode="bda")
     assert not trace.proj_active.any()
+    z_u, z_l = _auxiliary_points(p, x, trace)
     for k in range(trace.K):
-        combo = (1 - sched.mu) * trace.z_l[k] + sched.mu * trace.z_u[k]
+        combo = (1 - sched.mu) * z_l[k] + sched.mu * z_u[k]
         np.testing.assert_array_equal(trace.ys[k + 1], combo)
 
 
@@ -196,7 +197,7 @@ def test_run_inner_trace_shapes_and_determinism():
     y1, t1 = run_inner(p, x, 25, sched, mode="bda")
     y2, t2 = run_inner(p, x, 25, sched, mode="bda")
     assert t1.ys.shape == (26, 4)
-    assert t1.z_u.shape == (25, 4)
+    assert t1.proj_active.shape == (25, 4)
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_array_equal(inner_values(p, x, t1.ys),
                                   inner_values(p, x, t2.ys))
@@ -256,8 +257,9 @@ def test_iterates_stay_in_compact_box():
     _, trace = run_inner(p, x, 200, sched, mode="bda")
     assert np.all(np.abs(trace.ys) <= 2.0 + 1e-12)
     # auxiliaries stay inside a fixed ball around the feasible box
-    assert np.all(np.abs(trace.z_l) <= 10.0)
-    assert np.all(np.abs(trace.z_u) <= 10.0)
+    z_u, z_l = _auxiliary_points(p, x, trace)
+    assert np.all(np.abs(z_l) <= 10.0)
+    assert np.all(np.abs(z_u) <= 10.0)
 
 
 def test_aux_point_contraction_on_known_solution_sets():
@@ -309,15 +311,17 @@ def test_run_inner_equals_public_steps_on_clamping_box(n, m, seed, K, mode,
     y = q.region_y.project(y0)
     np.testing.assert_array_equal(trace.ys[0], y)
     for k in range(K):
+        g_f = np.asarray(q.grad_y_f(x, y))
         if mode == "bda":
-            y_next, z_u, z_l = aggregated_step(q, x, y, k, sched)
+            y_next = aggregated_step(q, x, y, k, sched)
+            z_u = y - sched.alpha(k) * (sched.s_u * np.asarray(q.grad_y_F(x, y)))
+            z_l = y - sched.beta(k) * (sched.s_l * g_f)
             pre = sched.mu * z_u + (1.0 - sched.mu) * z_l
+            derived = [z[k] for z in _auxiliary_points(q, x, trace)]
+            np.testing.assert_array_equal(derived, [z_u, z_l])
         else:
             y_next = plain_gd_step(q, x, y, sched.s_l)
-            z_u, z_l = y, y - sched.s_l * np.asarray(q.grad_y_f(x, y))
-            pre = z_l
-        np.testing.assert_array_equal(trace.z_u[k], z_u)
-        np.testing.assert_array_equal(trace.z_l[k], z_l)
+            pre = y - sched.s_l * g_f
         np.testing.assert_array_equal(trace.proj_active[k], y_next != pre)
         np.testing.assert_array_equal(trace.ys[k + 1], y_next)
         y = y_next

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bda.hypergrad import hypergrad_forward, hypergrad_reverse
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
 from bda.problems import (lls_quadratic, make_counterexample,
                           make_lls_quadratic, make_remark1, product_rows)
-from bda.verify import (TOLERANCES, _sample_points, _sampled_sup,
-                        check_descent_inequality, check_nonexpansive,
-                        check_rate_bound, check_stationarity,
+from bda.verify import (TOLERANCES, _auxiliary_points, _sample_points,
+                        _sampled_sup, check_descent_inequality,
+                        check_nonexpansive, check_rate_bound,
+                        check_stationarity,
                         compute_rate_constants, corrupted_constants,
                         descent_slack, fd_gradient, grid_argmin,
                         rhg_limit_oracle_counterexample)
@@ -194,13 +196,13 @@ def test_descent_slack_nonnegative_at_iterates():
     p = make_lls_quadratic(2, 3, seed=5)
     sched, x, trace = _descent_setup(p)
     for k in (0, 5, 20):
-        assert descent_slack(p, x, trace, sched, k, trace.ys[k]) >= -1e-9
+        assert descent_slack(p, x, trace, k, trace.ys[k]) >= -1e-9
 
 
 def test_descent_inequality_random_triples():
     for problem in (make_remark1(), make_lls_quadratic(2, 3, seed=5)):
         sched, x, trace = _descent_setup(problem)
-        report = check_descent_inequality(problem, x, trace, sched,
+        report = check_descent_inequality(problem, x, trace,
                                           num_test_points=100, seed=11)
         assert report.status == "pass"
         assert report.worst_margin >= -1e-9
@@ -209,16 +211,72 @@ def test_descent_inequality_random_triples():
 def test_descent_inequality_flags_hypothesis_breach():
     p = make_remark1()
     sched, x, trace = _descent_setup(p, s_l_factor=2.0)
-    report = check_descent_inequality(p, x, trace, sched,
-                                      num_test_points=30, seed=1)
+    report = check_descent_inequality(p, x, trace, num_test_points=30,
+                                      seed=1)
     assert report.status == "hypothesis-breach"
     assert any("s_l" in b for b in report.details["hypothesis_breaches"])
+
+
+def test_audits_refuse_vacuous_input():
+    p = make_remark1()
+    sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
+    x = np.array([0.6])
+    _, empty = run_inner(p, x, 0, sched, mode="bda")
+    # a K=0 trace passed with worst margin inf, or leaked numpy's ValueError
+    with pytest.raises(ContractError, match="at least one step"):
+        check_nonexpansive(p, x, empty)
+    with pytest.raises(ContractError, match="at least one step"):
+        check_descent_inequality(p, x, empty)
+    _, trace = run_inner(p, x, 5, sched, mode="bda")
+    for count in (0, -1):  # a minimum over no pairs passed
+        with pytest.raises(ContractError, match="num_test_points"):
+            check_descent_inequality(p, x, trace, num_test_points=count)
+    # a run from rows of x is not a trace of the one x the audit takes
+    _, rows = run_inner(p, np.stack([x, x]), 5, sched, mode="bda")
+    with pytest.raises(ContractError, match="one x"):
+        check_nonexpansive(p, x, rows)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(kind=st.sampled_from(["lls", "counterexample"]), n=st.integers(1, 3),
+       seed=st.integers(0, 10_000), K=st.integers(1, 10),
+       alpha=st.sampled_from([("harmonic", 1.0), ("harmonic", 0.6),
+                              ("constant", 0.3)]),
+       beta=st.sampled_from([(1.0, 1.0), (0.9, 0.3)]))
+def test_derived_auxiliary_points_are_the_steps_own(kind, n, seed, K, alpha,
+                                                    beta):
+    # both problems sit in a box tight enough to clamp some steps
+    if kind == "lls":
+        q = dataclasses.replace(make_lls_quadratic(n, n + 2, seed=seed),
+                                region_y=BoxRegion.cube(n + 2, -0.3, 0.3))
+        s = 0.5 / max(q.L_F, q.L_f)
+    else:
+        q, s = make_counterexample(n, y_radius=0.6), 0.1
+    sched = AggregationSchedule(mu=0.3, s_u=s, s_l=s, alpha_rule=alpha[0],
+                                alpha_scale=alpha[1], beta_start=beta[0],
+                                beta_lower=beta[1])
+    rng = rng_stream(seed)
+    x = q.region_x.project(1.5 * rng.standard_normal(n))
+    _, trace = run_inner(q, x, K, sched, mode="bda",
+                         y0=rng.standard_normal(q.m))
+    z_u, z_l = _auxiliary_points(q, x, trace)
+    assert z_u.shape == z_l.shape == (K, q.m)
+    for k in range(K):
+        y = trace.ys[k]
+        own_u = y - sched.alpha(k) * (sched.s_u * np.asarray(q.grad_y_F(x, y)))
+        own_l = y - sched.beta(k) * (sched.s_l * np.asarray(q.grad_y_f(x, y)))
+        assert z_u[k].tobytes() == own_u.tobytes()
+        assert z_l[k].tobytes() == own_l.tobytes()
+        # the step's own combination of them, clamped, is the next iterate
+        pre = sched.mu * z_u[k] + (1.0 - sched.mu) * z_l[k]
+        assert q.region_y.clamp(pre).tobytes() == trace.ys[k + 1].tobytes()
+        assert (trace.proj_active[k] == (trace.ys[k + 1] != pre)).all()
 
 
 def test_check_report_json_shape():
     p = make_lls_quadratic(2, 3, seed=5)
     sched, x, trace = _descent_setup(p)
-    report = check_descent_inequality(p, x, trace, sched, 10, seed=0)
+    report = check_descent_inequality(p, x, trace, 10, seed=0)
     d = report.to_json_dict()
     assert set(d) == {"check_name", "status", "worst_margin", "location"}
 
@@ -316,11 +374,15 @@ def test_contradiction_bound_on_unit_interval():
     assert vals.min() >= 0.75
 
 
-def test_nonexpansive_audit_catches_forged_trace():
+def test_nonexpansive_audit_catches_forged_oracle():
     p = make_remark1()
     sched = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
     x = np.array([0.6])
     _, trace = run_inner(p, x, 20, sched, mode="bda")
-    trace.z_l[3] = trace.z_l[3] + 10.0   # corrupt one auxiliary point
-    report = check_nonexpansive(p, x, trace)
+    # a LL gradient 30 times too large makes the step s_l grad_y f
+    # overshoot the solution set: z_l lands twice as far from it as y_k
+    forged = dataclasses.replace(
+        p, grad_y_f=lambda x, y: 30.0 * np.asarray(p.grad_y_f(x, y)))
+    assert check_nonexpansive(p, x, trace).status == "pass"
+    report = check_nonexpansive(forged, x, trace)
     assert report.status == "fail"
