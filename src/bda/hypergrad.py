@@ -5,7 +5,9 @@ maps (optionally truncated), forward-mode Jacobian propagation, the implicit
 route through the lower-level optimality system, and the single-step
 finite-difference scheme, all on the problem's Hessian-vector products.
 Unrolled estimators differentiate through an active box projection with the
-diagonal 0/1 generalized Jacobian that zeroes clamped coordinates.
+diagonal 0/1 generalized Jacobian that zeroes clamped coordinates.  Every
+route takes one point or (B, n) rows of points, each row with the bits of
+its solo call.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import AggregationSchedule, run_inner
+from .inner import AggregationSchedule, run_inner, schedule_rows
 from .numerics import CapabilityError, ContractError, NumericalError, as_vector
 from .problems import BilevelProblem, matvec, product_rows
 
@@ -124,47 +126,85 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
         diagnostics={"projection_hit": bool(trace.proj_active.any())})
 
 
-def _conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int):
-    """Plain CG on matvec(p) = H p with curvature monitoring; returns
-    (solution, residual, iters)."""
-    x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, 0.0, 0
-    r = b.copy()
+def _conjugate_gradient(hess, b: np.ndarray, tol: float, max_iter: int):
+    """Plain CG with curvature monitoring on each row of the (B, m) stack b,
+    one system per row: hess(rows, p) gives the products H p of the rows
+    ``rows`` (an index array) on the (len(rows), m) directions p.  Returns
+    (solution, residual, iters), one per row; each row is taken at its own
+    convergence and leaves the system set, so it has the bits of its solo
+    solve.  A row of non-positive curvature or one that stalls raises for
+    all."""
+    solution = np.zeros_like(b)
+    residual, iters = np.zeros(len(b)), np.zeros(len(b), dtype=int)
+    # inner products as (rows, 1) columns: np.dot's bits on each row
+    bnorm = np.sqrt(np.vecdot(b, b, keepdims=True))
+    live = np.flatnonzero(bnorm)  # b = 0 has the solution 0
+    goal = tol * np.maximum(1.0, bnorm[live])
+    x = solution[live]
+    r = b[live]
     p = r.copy()
-    rs = float(r @ r)
+    rs = np.vecdot(r, r, keepdims=True)
     for it in range(1, max_iter + 1):
-        Hp = matvec(p)
-        curv = float(p @ Hp)
-        if curv <= 1e-12 * float(p @ p):
+        if not len(live):
+            break
+        Hp = hess(live, p)
+        curv = np.vecdot(p, Hp, keepdims=True)
+        flat = curv <= 1e-12 * np.vecdot(p, p, keepdims=True)
+        if np.count_nonzero(flat):
             raise CapabilityError(
                 f"lower-level Hessian is not positive definite "
-                f"(curvature {curv:.3e} on CG direction at iteration {it})")
+                f"(curvature {curv[flat][0]:.3e} on CG direction at "
+                f"iteration {it})")
         step = rs / curv
         x = x + step * p
         r = r - step * Hp
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * max(1.0, bnorm):
-            return x, float(np.sqrt(rs_new)), it
+        rs_new = np.vecdot(r, r, keepdims=True)
+        res = np.sqrt(rs_new)
+        done = (res <= goal)[:, 0]
+        if np.count_nonzero(done):
+            solution[live[done]] = x[done]
+            residual[live[done]] = res[done, 0]
+            iters[live[done]] = it
+            go = ~done
+            live, goal, x, r, p, rs, rs_new = (
+                a[go] for a in (live, goal, x, r, p, rs, rs_new))
         p = r + (rs_new / rs) * p
         rs = rs_new
-    raise NumericalError(
-        f"CG stalled after {max_iter} iterations, residual "
-        f"{np.sqrt(rs):.3e} > tol {tol:.3e}")
+    if len(live):
+        raise NumericalError(
+            f"CG stalled after {max_iter} iterations, residual "
+            f"{np.sqrt(rs.max()):.3e} > tol {tol:.3e}")
+    return solution, residual, iters
 
 
 def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
                        cg_tol: float = 1e-10,
                        cg_max_iter: int | None = None) -> HypergradResult:
     """Implicit route: solve (grad_yy f) q = grad_y_F by CG on hess_yy_f
-    products, then grad = grad_x_F - hess_yx_f(q)."""
+    products, then grad = grad_x_F - hess_yx_f(q).
+
+    x and y_hat may be (B, n) and (B, m) rows, one system each: the gradient
+    is then (B, n) and ``cg_iterations`` and ``cg_residual`` are (B,)
+    arrays, each row with the bits of that row alone; a row whose CG fails,
+    or whose gradient is non-finite, raises for all of them.
+    """
     problem.require(*IMPLICIT_ORACLES)
-    x, y_hat = problem.check_point(x, y_hat)
+    x = as_vector(x, dim=problem.n, name="x", rows=True)
+    y_hat = as_vector(y_hat, dim=problem.m, name="y", rows=True)
+    if x.shape[:-1] != y_hat.shape[:-1]:
+        raise ContractError(f"hypergrad_implicit: y of shape {y_hat.shape} "
+                            f"does not fit x of shape {x.shape}")
     bvec = np.asarray(problem.grad_y_F(x, y_hat), dtype=float)
     max_iter = cg_max_iter if cg_max_iter is not None else 10 * problem.m
-    q, residual, iters = _conjugate_gradient(
-        lambda v: problem.hess_yy_f(x, y_hat, v), bvec, cg_tol, max_iter)
+    if x.ndim == 1:  # a batch of one row, its products on the point itself
+        q, residual, iters = _conjugate_gradient(
+            lambda rows, v: problem.hess_yy_f(x, y_hat, v[0])[None],
+            bvec[None], cg_tol, max_iter)
+        q, residual, iters = q[0], float(residual[0]), int(iters[0])
+    else:
+        q, residual, iters = _conjugate_gradient(
+            lambda rows, v: problem.hess_yy_f(x[rows], y_hat[rows], v),
+            bvec, cg_tol, max_iter)
     g = np.asarray(problem.grad_x_F(x, y_hat), dtype=float) \
         - problem.hess_yx_f(x, y_hat, q)
     if not np.isfinite(g).all():
@@ -187,16 +227,27 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
     central difference of grad_x(alpha*F + beta*f); when the projection
     clips the step, a nested four-point difference through the projection
     is used instead.
+
+    x and y0 may be (B, n) and (B, m) rows, and ``sched`` one schedule per
+    row, as in ``run_inner``: each row takes its own branch, with the bits of
+    that row alone, and ``branch`` is then a (B,) array; a branch is computed
+    only when some row takes it, and a row that fails a check raises for all.
     """
     if eps <= 0:
         raise ContractError("hypergrad_onestage: eps must be positive")
     problem.require(*ONESTAGE_ORACLES)
-    x = as_vector(x, dim=problem.n, name="x")
-    y0 = problem.region_y.project(as_vector(y0, dim=problem.m, name="y0"))
+    x = as_vector(x, dim=problem.n, name="x", rows=True)
+    y0 = problem.region_y.project(
+        as_vector(y0, dim=problem.m, name="y0", rows=True))
+    if x.shape[:-1] != y0.shape[:-1]:
+        raise ContractError(f"hypergrad_onestage: y0 of shape {y0.shape} "
+                            f"does not fit x of shape {x.shape}")
+    sched = schedule_rows(sched, x.shape[:-1])
+    alphas, betas = sched.weights(1)
 
     s = sched.s_l
-    alpha = sched.mu * sched.alpha(0) * sched.s_u / sched.s_l
-    beta = (1.0 - sched.mu) * sched.beta(0)
+    alpha = sched.mu * alphas[0] * sched.s_u / sched.s_l
+    beta = (1.0 - sched.mu) * betas[0]
 
     def grad_y_phi(yv):
         return alpha * np.asarray(problem.grad_y_F(x, yv)) \
@@ -206,21 +257,30 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
         return alpha * np.asarray(problem.grad_x_F(x, yv)) \
             + beta * np.asarray(problem.grad_x_f(x, yv))
 
+    def check_probes(takes, *pairs):
+        # a row of this branch whose probe points coincide in floating point
+        coincide = takes & (v != 0.0).any(axis=-1)
+        for h_plus, h_minus in pairs:
+            coincide = coincide & (h_plus == h_minus).all(axis=-1)
+        if np.count_nonzero(coincide):
+            raise NumericalError(f"eps={eps:g} too small: probe points "
+                                 f"coincide in floating point")
+
     z0 = y0 - s * grad_y_phi(y0)
-    active = problem.region_y.active_mask(z0)
+    projected = problem.region_y.active_mask(z0).any(axis=-1)  # per row
+    clipped_rows = np.count_nonzero(projected)
     y1 = problem.region_y.project(z0)
     v = np.asarray(problem.grad_y_F(x, y1), dtype=float)
     g_direct = np.asarray(problem.grad_x_F(x, y1), dtype=float)
 
-    if not active.any():
+    g = None
+    if clipped_rows < projected.size:  # some row stays interior
         h_plus = y0 + eps * v
         h_minus = y0 - eps * v
-        if np.any(v != 0.0) and np.array_equal(h_plus, h_minus):
-            raise NumericalError(
-                f"eps={eps:g} too small: probe points coincide in floating point")
-        g = g_direct - s * (grad_x_phi(h_plus) - grad_x_phi(h_minus)) / (2.0 * eps)
-        branch = "interior"
-    else:
+        check_probes(~projected, (h_plus, h_minus))
+        g = g_direct - s * (grad_x_phi(h_plus) - grad_x_phi(h_minus)) \
+            / (2.0 * eps)
+    if clipped_rows:
         root = np.sqrt(eps)
         w_plus = problem.region_y.project(z0 + root * v)
         w_minus = problem.region_y.project(z0 - root * v)
@@ -228,15 +288,15 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
         h_mp = y0 - eps * w_plus
         h_pm = y0 + eps * w_minus
         h_mm = y0 - eps * w_minus
-        if np.any(v != 0.0) and np.array_equal(h_pp, h_mp) \
-                and np.array_equal(h_pm, h_mm):
-            raise NumericalError(
-                f"eps={eps:g} too small: probe points coincide in floating point")
+        check_probes(projected, (h_pp, h_mp), (h_pm, h_mm))
         numer = (grad_x_phi(h_pp) - grad_x_phi(h_mp)
                  - (grad_x_phi(h_pm) - grad_x_phi(h_mm)))
-        g = g_direct - s * numer / (4.0 * eps ** 1.5)
-        branch = "projected"
+        clipped = g_direct - s * numer / (4.0 * eps ** 1.5)
+        g = clipped if g is None else \
+            np.where(projected[:, None], clipped, g)
     if not np.isfinite(g).all():
         raise NumericalError("one-stage hypergradient is non-finite")
-    return HypergradResult(
-        gradient=g, diagnostics={"branch": branch, "y1": y1})
+    branch = np.where(projected, "projected", "interior") if x.ndim == 2 \
+        else "projected" if projected else "interior"
+    return HypergradResult(gradient=g,
+                           diagnostics={"branch": branch, "y1": y1})

@@ -51,8 +51,8 @@ class AggregationSchedule:
             raise ContractError(f"unknown alpha_rule '{self.alpha_rule}'")
         if not (0.0 < self.mu < 1.0):
             raise ContractError(f"mu={self.mu} must lie in (0, 1)")
-        if self.s_u <= 0 or self.s_l <= 0:
-            raise ContractError("step sizes s_u, s_l must be positive")
+        if not (0 < self.s_u < np.inf and 0 < self.s_l < np.inf):
+            raise ContractError("s_u and s_l must be positive and finite")
         if not (0.0 <= self.alpha_scale <= 1.0):
             raise ContractError("alpha_scale must lie in [0, 1]")
         if not (0.0 < self.beta_lower <= self.beta_start <= 1.0):

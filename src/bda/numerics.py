@@ -111,16 +111,16 @@ class BoxRegion:
         return float(np.linalg.norm(self.upper - self.lower))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return self.clamp(as_vector(v, dim=self.dim, name="point"))
+        return self.clamp(as_vector(v, dim=self.dim, name="point", rows=True))
 
     def clamp(self, v: np.ndarray) -> np.ndarray:
-        """``v`` clamped into the box, unchecked: the caller guarantees a
-        finite float vector of length ``dim``."""
+        """``v`` clamped into the box, unchecked: the caller guarantees
+        finite floats of length ``dim`` in the last axis."""
         return np.minimum(np.maximum(v, self.lower), self.upper)
 
     def active_mask(self, v: np.ndarray) -> np.ndarray:
-        """Boolean mask of coordinates where projecting ``v`` clamps it."""
-        v = as_vector(v, dim=self.dim, name="point")
+        """Where projecting ``v`` (a point or (B, dim) rows) clamps it."""
+        v = as_vector(v, dim=self.dim, name="point", rows=True)
         return (v < self.lower) | (v > self.upper)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:

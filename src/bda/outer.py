@@ -68,21 +68,25 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ContractError(f"unknown method '{self.method}'")
-        if self.T_max < 1:
-            raise ContractError("T_max must be >= 1")
-        if self.K < 1:
-            raise ContractError("K must be >= 1")
+        for name, ok, need in (
+                ("T_max", self.T_max >= 1, ">= 1"), ("K", self.K >= 1, ">= 1"),
+                ("truncate_at", self.truncate_at is None
+                 or 0 <= self.truncate_at <= self.K, "in [0, K]"),
+                ("lam", self.lam is None or 0 < self.lam < np.inf,
+                 "positive and finite"),
+                ("stop_tol", np.isfinite(self.stop_tol), "finite"),
+                ("cg_tol", 0 < self.cg_tol < np.inf, "positive and finite"),
+                ("cg_max_iter", self.cg_max_iter is None
+                 or self.cg_max_iter >= 1, ">= 1")):
+            if not ok:
+                raise ContractError(f"{name} must be {need}, got "
+                                    f"{getattr(self, name)!r}")
         if self.method == "obda" and self.K != 1:
             raise ContractError(f"obda takes one inner step: K must be 1, "
                                 f"got K={self.K}")
         if (self.method == "trhg") != (self.truncate_at is not None):
             raise ContractError("trhg requires truncate_at; no other method "
                                 "takes it")
-        if self.truncate_at is not None and not 0 <= self.truncate_at <= self.K:
-            raise ContractError("truncate_at must lie in [0, K]")
-        if self.lam is not None and self.lam <= 0:
-            raise ContractError("lam must be positive")
-
 
 @dataclass
 class RunRecord:
@@ -125,16 +129,16 @@ def outer_step(x, g, lam: float, region_x: BoxRegion) -> np.ndarray:
 def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None,
                      sched=None):
     """Hypergradient of one outer iteration, its inner iterates (ending at
-    y_K; for obda, the carried y_t and y_{t+1}) and per-step projection flags.
-    No f or F value is evaluated.  The reverse route also takes (B, n) rows
-    of x, (B, m) rows of y0 and, in ``sched``, one schedule per row in place
-    of cfg.sched, giving (B, n), (K+1, B, m) and (K, B) arrays."""
+    y_K; for obda, the carried y_t and y_{t+1}) and per-step projection flags
+    (obda's: its projected branch).  No f or F value is evaluated.  Every
+    route also takes (B, n) rows of x, (B, m) rows of y0 and, in ``sched``,
+    one schedule per row, giving (B, n), (K+1, B, m) and (K, B) arrays."""
     method = METHODS[cfg.method]
     sched = cfg.sched if sched is None else sched
     if method.route == "onestage":  # one aggregated step from the carried y0
         res = hypergrad_onestage(problem, x, y0, sched)
-        return (res.gradient, (y0, res.diagnostics["y1"]),
-                [res.diagnostics["branch"] == "projected"])
+        return (res.gradient, np.stack([y0, res.diagnostics["y1"]]),
+                np.asarray(res.diagnostics["branch"] == "projected")[None])
     if method.route == "reverse":
         res = hypergrad_reverse(problem, x, cfg.K, sched, mode=method.inner,
                                 truncate_at=cfg.truncate_at, y0=y0)
@@ -164,9 +168,7 @@ def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
             d = float(np.linalg.norm(points[i] - points[j]))
             if d > 1e-12:
                 lip = max(lip, float(np.linalg.norm(grads[i] - grads[j])) / d)
-    if lip <= 0:
-        return 1.0
-    return 0.5 / lip
+    return 0.5 / lip if lip > 0 else 1.0
 
 
 def solve(problem: BilevelProblem, cfg: SolverConfig, x0=None,
@@ -184,21 +186,19 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
     one record per row, each start stopping on its own.
 
     ``configs`` is one SolverConfig for every row, or a sequence of B.  The
-    rows must agree on method, K, truncate_at and T_max; they may differ in
-    the schedule, lam, stop_tol and seed (and in the CG settings, which
-    only ihg reads, one start at a time).
+    rows must agree on method, K, truncate_at, T_max, cg_tol and cg_max_iter;
+    they may differ in the schedule, lam, stop_tol and seed.
 
     ``y0`` overrides the fixed inner initialization (default: 0 projected
     onto Y).  For obda the inner state instead persists across outer
     iterations, starting from ``y0``.  f and F are evaluated at y_K only,
     unless ``keep_inner`` asks for their values along every inner run.
 
-    A method of the reverse route takes the hypergradients of all live
-    starts from one call on their stacked rows, each under its own schedule;
-    if that call raises, the outer iteration is redone one start at a time,
-    so that only the failing start aborts, with its own message.  Otherwise,
-    and once a single start is left, every start is stepped alone.  Every
-    record's ``wall_time_s`` is the wall time of the whole batch.
+    The hypergradients of all live starts come from one call on their
+    stacked rows, each under its own schedule; if it raises, the outer
+    iteration is redone one start at a time, so that only the failing start
+    aborts, with its own message.  The last live start is stepped alone.
+    Every record's ``wall_time_s`` is the wall time of the whole batch.
     """
     X0 = as_vector(X0, dim=problem.n, name="x0", rows=True)
     if X0.ndim != 2:
@@ -211,7 +211,8 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
     if len(cfgs) != len(X0):
         raise ContractError(f"solve_many: {len(cfgs)} configs for "
                             f"{len(X0)} starts; give one, or one per start")
-    for name in ("method", "K", "truncate_at", "T_max"):
+    for name in ("method", "K", "truncate_at", "T_max", "cg_tol",
+                 "cg_max_iter"):
         values = {getattr(c, name) for c in cfgs}
         if len(values) > 1:
             raise ContractError(f"solve_many: the starts' configs differ in "
@@ -237,23 +238,21 @@ def solve_many(problem: BilevelProblem, configs, X0, y0=None,
 
 def _advance_all(problem: BilevelProblem, runs: list,
                  keep_inner: bool) -> None:
-    """Step every run of ``solve_many`` until it stops or reaches T_max: on
-    the reverse route, the live runs from one hypergradient call on their
-    rows while more than one is left, else one by one."""
+    """Step every run of ``solve_many`` until it stops or reaches T_max: the
+    live runs from one hypergradient call on their rows while more than one
+    is left, else one by one."""
     cfg = runs[0].cfg
     live, t = runs, 0
     while len(live) > 1 and t < cfg.T_max:
         steps = [None] * len(live)
-        if METHODS[cfg.method].route == "reverse":
-            try:
-                g, ys, active = _method_gradient(
-                    problem, np.array([run.x for run in live]), cfg,
-                    y0=np.array([run.y_start for run in live]),
-                    sched=[run.cfg.sched for run in live])
-                steps = [(g[b], ys[:, b], active[:, b])
-                         for b in range(len(live))]
-            except (NumericalError, CapabilityError):
-                pass  # each start below recomputes its own step
+        try:
+            g, ys, active = _method_gradient(
+                problem, np.array([run.x for run in live]), cfg,
+                y0=np.array([run.y_start for run in live]),
+                sched=[run.cfg.sched for run in live])
+            steps = [(g[b], ys[:, b], active[:, b]) for b in range(len(live))]
+        except (NumericalError, CapabilityError):
+            pass  # each start below recomputes its own step
         live = [run for run, step in zip(live, steps)
                 if run.advance(problem, step, keep_inner)]
         t += 1

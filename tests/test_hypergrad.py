@@ -10,7 +10,7 @@ from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import (BoxRegion, CapabilityError, ContractError,
                           NumericalError, rng_stream)
 from bda.problems import (lls_quadratic, make_counterexample,
-                          make_lls_quadratic, make_remark1)
+                          make_lls_quadratic, make_remark1, product_rows)
 from bda.verify import fd_gradient
 
 PLAIN = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
@@ -318,6 +318,54 @@ def test_implicit_matches_long_unrolled_run():
     assert rel <= 1e-4
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(n=st.integers(1, 4), m=st.integers(2, 9), rows=st.integers(3, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_implicit_on_rows_equals_each_row_alone(n, m, rows, seed):
+    # grad_y F = y - b: row 0 has a zero right-hand side (no CG iteration),
+    # row 1 an eigenvector of grad_yy f (one), the others random ones (more)
+    p = make_lls_quadratic(n, m, seed)
+    rng = rng_stream(seed)
+    X = rng.standard_normal((rows, n))
+    b = -p.grad_y_F(X[0], np.zeros(m))
+    A = product_rows(lambda v: p.hess_yy_f(X[0], b, v), m)
+    Y = b + rng.standard_normal((rows, m))
+    Y[0] = b
+    Y[1] = b + np.linalg.eigh(A)[1][:, 0]
+    res = hypergrad_implicit(p, X, Y)
+    iters, residual = (res.diagnostics[k] for k in ("cg_iterations",
+                                                     "cg_residual"))
+    assert res.gradient.shape == (rows, n)
+    assert iters.shape == residual.shape == (rows,)
+    assert list(iters[:2]) == [0, 1] and (iters[2:] > 1).all()
+    for k in range(rows):
+        alone = hypergrad_implicit(p, X[k], Y[k])
+        assert res.gradient[k].tobytes() == alone.gradient.tobytes()
+        assert iters[k] == alone.diagnostics["cg_iterations"]
+        assert residual[k] == alone.diagnostics["cg_residual"]
+        assert type(alone.diagnostics["cg_iterations"]) is int
+        assert type(alone.diagnostics["cg_residual"]) is float
+
+
+def test_implicit_batch_with_a_non_pd_row_is_capability_error():
+    # row 1's lower-level Hessian is negative definite: alone it raises,
+    # and in a batch it raises for row 0, which solves alone
+    base = make_lls_quadratic(2, 3, seed=4)
+    p = dataclasses.replace(base, hess_yy_f=lambda x, y, v: np.sign(
+        x[..., :1]) * base.hess_yy_f(x, y, v))
+    X, Y = np.array([[0.5, 0.1], [-0.5, 0.1]]), np.zeros((2, 3))
+    assert np.isfinite(hypergrad_implicit(p, X[0], Y[0]).gradient).all()
+    for x, y in ((X[1], Y[1]), (X, Y)):
+        with pytest.raises(CapabilityError, match="not positive definite"):
+            hypergrad_implicit(p, x, y)
+
+
+def test_implicit_rows_need_matching_y_rows():
+    p = make_lls_quadratic(2, 3, seed=0)
+    with pytest.raises(ContractError, match="does not fit"):
+        hypergrad_implicit(p, np.zeros((2, 2)), np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # one-stage scheme
 # ---------------------------------------------------------------------------
@@ -378,3 +426,34 @@ def test_onestage_degenerate_eps():
         hypergrad_onestage(p, [1.0], [0.5, 0.5], ONESTAGE, eps=1e-300)
     with pytest.raises(ContractError):
         hypergrad_onestage(p, [1.0], [0.0, 0.0], ONESTAGE, eps=0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(n=st.integers(1, 4), picks=st.lists(st.integers(0, 2), min_size=2,
+                                           max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_onestage_on_rows_equals_each_row_alone(n, picks, seed):
+    # in a tight LL box, row 0's small x keeps its step interior and row 1's
+    # large x clips it; every row runs under its own schedule
+    p = make_counterexample(n, y_radius=0.6)
+    scheds = [ROW_SCHEDS[i] for i in picks]
+    rng = rng_stream(seed)
+    X = rng.standard_normal((len(picks), n))
+    X[0] *= 1e-3
+    X[1] = 8.0 + np.abs(X[1])
+    Y0 = rng.uniform(-0.01, 0.01, (len(picks), p.m))
+    res = hypergrad_onestage(p, X, Y0, scheds, eps=1e-6)
+    branch = res.diagnostics["branch"]
+    assert list(branch[:2]) == ["interior", "projected"]
+    for b, sched in enumerate(scheds):
+        alone = hypergrad_onestage(p, X[b], Y0[b], sched, eps=1e-6)
+        assert alone.diagnostics["branch"] == branch[b]
+        assert res.gradient[b].tobytes() == alone.gradient.tobytes()
+        assert res.diagnostics["y1"][b].tobytes() == \
+            alone.diagnostics["y1"].tobytes()
+
+
+def test_onestage_rows_need_matching_y0_rows():
+    p = make_remark1()
+    with pytest.raises(ContractError, match="does not fit"):
+        hypergrad_onestage(p, np.zeros((2, 1)), np.zeros(2), ONESTAGE)

@@ -55,6 +55,11 @@ def test_schedule_validation_errors():
         AggregationSchedule(beta_start=0.5, beta_lower=0.9)
     with pytest.raises(ContractError):
         AggregationSchedule(alpha_rule="mystery")
+    for bad in (np.nan, np.inf):  # would run until a step went non-finite
+        with pytest.raises(ContractError, match="finite"):
+            AggregationSchedule(s_u=bad)
+        with pytest.raises(ContractError, match="finite"):
+            AggregationSchedule(s_l=bad)
 
 
 def _old_schedule(alpha_rule, alpha_scale, beta_rule, beta_start, beta_lower):

@@ -11,6 +11,7 @@ from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
 from bda.outer import SolverConfig, outer_step, solve, solve_many
 from bda.problems import (HypercleanConfig, make_counterexample,
                           make_hypercleaning, make_lls_quadratic, make_remark1,
+                          make_remark1_regularized,
                           remark1_plain_descent_limit)
 
 SCHED = AggregationSchedule(mu=0.1, s_u=0.1, s_l=0.1)
@@ -40,6 +41,13 @@ def test_solver_config_validation():
         SolverConfig(method="obda", K=7)            # obda takes one inner step
     with pytest.raises(ContractError):
         SolverConfig(method="rhg", lam=-1.0)
+    # settings that would otherwise abort or stall mid-run
+    for bad in ({"lam": np.nan}, {"lam": np.inf}, {"stop_tol": np.nan},
+                {"stop_tol": np.inf}, {"cg_tol": -1.0}, {"cg_tol": 0.0},
+                {"cg_tol": np.nan}, {"cg_tol": np.inf}, {"cg_max_iter": 0}):
+        name = next(iter(bad))
+        with pytest.raises(ContractError, match=name):
+            SolverConfig(method="ihg", **bad)
 
 
 def test_single_outer_iteration():
@@ -327,15 +335,20 @@ def _assert_same_run(record, solo, rtol):
 
 
 def _batch_sizes(monkeypatch):
-    """The number of rows of each x the reverse route is called on."""
+    """The number of rows of each x a hypergradient route is called on (0
+    for one point), in call order."""
     sizes = []
-    reverse = bda.outer.hypergrad_reverse
 
-    def recording(problem, x, *args, **kwargs):
-        sizes.append(len(x) if np.ndim(x) == 2 else 0)
-        return reverse(problem, x, *args, **kwargs)
+    def recording(route):
+        def call(problem, x, *args, **kwargs):
+            sizes.append(len(x) if np.ndim(x) == 2 else 0)
+            return route(problem, x, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(bda.outer, "hypergrad_reverse", recording)
+    for name in ("hypergrad_reverse", "hypergrad_implicit",
+                 "hypergrad_onestage"):
+        monkeypatch.setattr(bda.outer, name,
+                            recording(getattr(bda.outer, name)))
     return sizes
 
 
@@ -393,9 +406,10 @@ def test_solve_many_aborts_only_the_diverging_start(method, n, rows, bad,
 
 @pytest.mark.parametrize("method", ["bda", "rhg", "ihg", "obda"])
 def test_solve_many_on_remark1_and_hyperclean_equals_solve_bitwise(method):
-    # bda and rhg step the starts as rows (remark1's own row kernels,
-    # hyperclean's one call per row), ihg and obda one start at a time; on
-    # remark1 ihg aborts on its singular Hessian, and no lambda runs the probes
+    # every method steps the starts as rows (remark1's own row kernels,
+    # hyperclean's one call per row); on remark1 ihg's batch call raises on
+    # the singular Hessian and each start aborts alone, and no lambda runs
+    # the probes
     hyperclean = make_hypercleaning(HypercleanConfig(
         num_classes=2, feature_dim=2, n_train=8, n_val=8, n_test=8,
         corruption_fraction=0.25, seed=3))
@@ -407,9 +421,64 @@ def test_solve_many_on_remark1_and_hyperclean_equals_solve_bitwise(method):
             cfg = SolverConfig(method=method, K=1 if method == "obda" else 10,
                                lam=lam, T_max=T_max, sched=sched,
                                stop_tol=1e-10)
-            for record, x0 in zip(solve_many(p, cfg, X, keep_inner=True), X):
+            with pytest.MonkeyPatch.context() as patch:
+                sizes = _batch_sizes(patch)
+                records = solve_many(p, cfg, X, keep_inner=True)
+            assert sizes[0] == len(X)  # all rows in the first call
+            for record, x0 in zip(records, X):
                 _assert_bitwise_same_run(
                     record, solve(p, cfg, x0=x0, keep_inner=True))
+
+
+@pytest.mark.parametrize("method", ["bda", "rhg", "trhg", "ihg", "obda"])
+def test_every_method_takes_one_hypergradient_call_per_outer_iteration(method):
+    # three starts that neither converge nor abort in T_max iterations, with
+    # lam given so that no probe runs: one call on all three rows each time
+    p = make_lls_quadratic(2, 4, seed=5)
+    cfg = SolverConfig(method=method, K=1 if method == "obda" else 4,
+                       truncate_at=2 if method == "trhg" else None,
+                       lam=0.1, T_max=6, sched=SCHED, stop_tol=0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        sizes = _batch_sizes(patch)
+        records = solve_many(p, cfg, rng_stream(2).uniform(-1, 1, (3, 2)))
+    assert [r.status for r in records] == ["max-iters"] * 3
+    assert sizes == [3] * cfg.T_max
+
+
+def _failing_beyond(problem, bound):
+    """``problem`` on an unbounded x box, whose grad_x_F turns non-finite on
+    the rows with x_0 > bound."""
+    grad_x_F = problem.grad_x_F
+
+    def failing(x, y):
+        return np.where(x[..., :1] > bound, np.nan, grad_x_F(x, y))
+    return dataclasses.replace(problem, grad_x_F=failing,
+                               region_x=BoxRegion.whole_space(problem.n))
+
+
+@pytest.mark.parametrize("method", ["ihg", "obda"])
+def test_solve_many_ihg_and_obda_equal_solo_solves_with_an_aborting_row(
+        method):
+    # the third start's hypergradient is non-finite: the batch call raises,
+    # each start is redone alone, and that start aborts with its solo error
+    hyperclean = make_hypercleaning(HypercleanConfig(
+        num_classes=2, feature_dim=2, n_train=8, n_val=8, n_test=8,
+        corruption_fraction=0.25, seed=3))
+    cases = [(make_lls_quadratic(3, 5, seed=2), SCHED),
+             (make_remark1_regularized(0.05), SCHED),
+             (hyperclean, AggregationSchedule(mu=0.1, s_u=0.001, s_l=0.001))]
+    for p, sched in cases:
+        p = _failing_beyond(p, 5.0)
+        X = rng_stream(5).uniform(-1.0, 1.0, (4, p.n))
+        X[2, 0] = 10.0
+        cfg = SolverConfig(method=method, K=1 if method == "obda" else 8,
+                           lam=0.3, T_max=20, sched=sched, stop_tol=1e-6)
+        records = solve_many(p, cfg, X, keep_inner=True)
+        assert [r.status == "aborted" for r in records] == \
+            [False, False, True, False]
+        for record, x0 in zip(records, X):
+            _assert_bitwise_same_run(record, solve(p, cfg, x0=x0,
+                                                   keep_inner=True))
 
 
 def test_solve_many_takes_rows_of_starts():
@@ -421,8 +490,9 @@ def test_solve_many_takes_rows_of_starts():
 
 
 def _assert_bitwise_same_run(record, solo):
-    assert (record.status, record.T, record.error, record.config) == \
-        (solo.status, solo.T, solo.error, solo.config)
+    assert (record.status, record.T, record.error, record.error_class,
+            record.config) == \
+        (solo.status, solo.T, solo.error, solo.error_class, solo.config)
     assert record.xs.tobytes() == solo.xs.tobytes()
     assert record.y_final.tobytes() == solo.y_final.tobytes()
     for name, vals in solo.metrics.items():
@@ -472,9 +542,10 @@ def test_solve_many_with_per_row_plain_step_sizes_equals_solo_bitwise():
 
 @pytest.mark.parametrize("field,value", [
     ("method", "rhg"), ("K", 4), ("T_max", 41),
-    ("truncate_at", 2)])
+    ("truncate_at", 2), ("cg_tol", 1e-6), ("cg_max_iter", 7)])
 def test_solve_many_rows_must_share_method_K_truncation_and_T_max(field,
                                                                   value):
+    # one CG call serves every row, so the CG settings are shared too
     base = SolverConfig(method="trhg" if field == "truncate_at" else "bda",
                         K=5, T_max=40, lam=0.05, sched=CE_SCHED,
                         truncate_at=1 if field == "truncate_at" else None)
