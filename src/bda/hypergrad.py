@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import AggregationSchedule, run_inner, schedule_rows
+from .inner import (AggregationSchedule, InnerTrace, run_inner,
+                    schedule_rows)
 from .numerics import CapabilityError, ContractError, NumericalError, as_vector
 from .problems import BilevelProblem, matvec, product_rows
 
@@ -34,22 +35,26 @@ IMPLICIT_ORACLES = ("hess_yy_f", "hess_yx_f")
 ONESTAGE_ORACLES = ("grad_x_f",)
 
 
-def _step_products(problem: BilevelProblem, x, y, mode: str,
-                   alpha: float, beta: float, sched: AggregationSchedule):
-    """Products yy: q -> (c_F H_F + c_f H_f) q and yx: q -> (c_F C_F + c_f C_f)' q
-    at (x, y) for the pre-projection update u = y - (c_F grad_y F + c_f grad_y f):
-    (du/dy)' q = q - yy(q), du/dy being symmetric, and (du/dx)' q = -yx(q).
-    Plain descent has c_F = 0 and c_f = s_l.  The coefficients may be (B, 1)
-    columns, one row each, for products on (B, m) rows."""
+def _step_coefficients(trace: InnerTrace, mode: str):
+    """(c_u, c_l): the weights of grad_y F and grad_y f in the pre-projection
+    update u_k = y_k - (c_u,k grad_y F + c_l,k grad_y f) of each step of
+    ``trace``, built once per pass with the step's own expressions: (K,)
+    floats for one schedule, (K, B, 1) columns for one schedule per row.
+    The aggregated step has c_u,k = mu alpha_k s_u and c_l,k = (1 - mu)
+    beta_k s_l, plain descent c_u = None and c_l = s_l."""
+    sched = trace.sched
     if mode == "plain":
-        return (lambda q: sched.s_l * problem.hess_yy_f(x, y, q),
-                lambda q: sched.s_l * problem.hess_yx_f(x, y, q))
-    cu = sched.mu * alpha * sched.s_u
-    cl = (1.0 - sched.mu) * beta * sched.s_l
-    return (lambda q: cu * problem.hess_yy_F(x, y, q)
-            + cl * problem.hess_yy_f(x, y, q),
-            lambda q: cu * problem.hess_yx_F(x, y, q)
-            + cl * problem.hess_yx_f(x, y, q))
+        return None, sched.s_l * np.ones_like(trace.betas)
+    return (sched.mu * trace.alphas * sched.s_u,
+            (1.0 - sched.mu) * trace.betas * sched.s_l)
+
+
+def _combined(cu, cl, product_F, product_f, x, y, q):
+    """c_u product_F(x, y, q) + c_l product_f(x, y, q), f's term alone when
+    c_u is None: with the yy products, (du/dy)' q = q - this, du/dy being
+    symmetric; with the yx products, (du/dx)' q = -this."""
+    out = cl * product_f(x, y, q)
+    return out if cu is None else cu * product_F(x, y, q) + out
 
 
 def hypergrad_reverse(problem: BilevelProblem, x, K: int,
@@ -63,25 +68,51 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
     or K means no truncation.  x may be a (B, n) array, and ``sched`` one
     schedule per row, as in ``run_inner``: the gradient is then (B, n), one
     row per row of x, and a non-finite row raises for all of them.
+
+    The adjoint p_k is carried by the y-side products alone, so the loop
+    runs only that recursion and keeps each step's masked adjoint q_k; the
+    x-side terms (du_k/dx)' q_k of all kept steps then take one row call
+    per oracle, and g subtracts them in step order.
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     if truncate_at is not None and not (0 <= truncate_at <= K):
         raise ContractError("truncate_at must lie in [0, K]")
     x = as_vector(x, dim=problem.n, name="x", rows=True)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
-    sched = trace.sched  # per-row schedules as run_inner resolved them
+    cu, cl = _step_coefficients(trace, mode)
 
     p = np.asarray(problem.grad_y_F(x, y_K), dtype=float)
-    g = np.asarray(problem.grad_x_F(x, y_K), dtype=float).copy()
+    g = np.array(problem.grad_x_F(x, y_K), dtype=float)
     kept = K if truncate_at is None else truncate_at
+    steps = np.arange(K - 1, K - kept - 1, -1)  # the kept steps, last first
+    qs = np.empty((kept, *p.shape))
     clamped = trace.proj_active.any(axis=tuple(range(1, y_K.ndim + 1)))
-    for k in range(K - 1, K - kept - 1, -1):
-        # zeroing nothing would copy p: a step that clamped nothing uses it
-        q = np.where(trace.proj_active[k], 0.0, p) if clamped[k] else p
-        yy, yx = _step_products(problem, x, trace.ys[k], mode,
-                                trace.alphas[k], trace.betas[k], sched)
-        g -= yx(q)
-        p = q - yy(q)
+    # the products inline, not through _combined: a call per step costs
+    # about 1.5 us, a twentieth of a counterexample step
+    for q, k in zip(qs, steps):
+        y = trace.ys[k]
+        q[...] = p
+        if clamped[k]:
+            q[trace.proj_active[k]] = 0.0
+        yy = cl[k] * problem.hess_yy_f(x, y, q)
+        if cu is not None:
+            yy = cu[k] * problem.hess_yy_F(x, y, q) + yy
+        p = q - yy
+    if kept:  # x broadcast to the kept steps' rows, last step first
+        at = (np.tile(x, (kept, 1)), trace.ys[steps].reshape(-1, problem.m),
+              qs.reshape(-1, problem.m))
+        shape = (kept, *g.shape)
+
+        def scaled(c, product):  # the kept steps' coefficients on their rows
+            c = c[steps]
+            return c.reshape(c.shape + (1,) * (len(shape) - c.ndim)) \
+                * product(*at).reshape(shape)
+
+        yx = scaled(cl, problem.hess_yx_f)
+        if cu is not None:
+            yx = scaled(cu, problem.hess_yx_F) + yx
+        # a reduction along axis 0 runs in order: the bits of g -= yx_k
+        g = np.subtract.reduce(np.concatenate([g[None], yx]), axis=0)
     if not np.isfinite(g).all():
         raise NumericalError("reverse hypergradient is non-finite")
     return HypergradResult(
@@ -101,7 +132,6 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
     problem.require(*UNROLL_ORACLES.get(mode, ()))
     x = as_vector(x, dim=problem.n, name="x", rows=True)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode)
-    sched = trace.sched  # per-row schedules as run_inner resolved them
     if strict_projection and trace.proj_active.any():
         raise CapabilityError(
             "projection became active along the trajectory; rerun with "
@@ -110,11 +140,14 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
     # J <- (du/dy) J + du/dx: n yy-products on J's columns, m yx-products for du/dx
     rows = x.shape[:-1]
     J = np.zeros((*rows, problem.m, problem.n))
+    cu, cl = _step_coefficients(trace, mode)
     for k in range(K):
-        yy, yx = _step_products(problem, x, trace.ys[k], mode,
-                                trace.alphas[k], trace.betas[k], sched)
-        J = J - np.stack([yy(J[..., j]) for j in range(problem.n)], axis=-1) \
-            - product_rows(yx, problem.m, rows)
+        at = (None if cu is None else cu[k], cl[k])
+        yy = [_combined(*at, problem.hess_yy_F, problem.hess_yy_f, x,
+                        trace.ys[k], J[..., j]) for j in range(problem.n)]
+        J = J - np.stack(yy, axis=-1) - product_rows(
+            lambda q: _combined(*at, problem.hess_yx_F, problem.hess_yx_f,
+                                x, trace.ys[k], q), problem.m, rows)
         J[trace.proj_active[k]] = 0.0
     g = np.asarray(problem.grad_x_F(x, y_K), dtype=float) \
         + matvec(np.swapaxes(J, -1, -2),
@@ -132,8 +165,8 @@ def _conjugate_gradient(hess, b: np.ndarray, tol: float, max_iter: int):
     ``rows`` (an index array) on the (len(rows), m) directions p.  Returns
     (solution, residual, iters), one per row; each row is taken at its own
     convergence and leaves the system set, so it has the bits of its solo
-    solve.  A row of non-positive curvature or one that stalls raises for
-    all."""
+    solve.  A row of non-positive curvature, one whose curvature or
+    residual overflows, or one that stalls raises for all."""
     solution = np.zeros_like(b)
     residual, iters = np.zeros(len(b)), np.zeros(len(b), dtype=int)
     # inner products as (rows, 1) columns: np.dot's bits on each row
@@ -149,6 +182,10 @@ def _conjugate_gradient(hess, b: np.ndarray, tol: float, max_iter: int):
             break
         Hp = hess(live, p)
         curv = np.vecdot(p, Hp, keepdims=True)
+        if not (np.isfinite(curv).all() and np.isfinite(rs).all()):
+            raise NumericalError(
+                f"CG curvature or residual non-finite at iteration {it} "
+                f"(overflow)")
         flat = curv <= 1e-12 * np.vecdot(p, p, keepdims=True)
         if np.count_nonzero(flat):
             raise CapabilityError(

@@ -156,12 +156,16 @@ def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
     hypergradient around the start point."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     x0 = as_vector(x0, dim=problem.n, name="x0")
-    y0 = default_y0(problem)
-    points = [x0]
-    for _ in range(3):
-        probe = x0 + 0.5 * rng.standard_normal(problem.n)
-        points.append(problem.region_x.project(probe))
-    grads = [_method_gradient(problem, p, cfg, y0=y0)[0] for p in points]
+    points = np.array([x0, *(
+        problem.region_x.project(x0 + 0.5 * rng.standard_normal(problem.n))
+        for _ in range(3))])
+    y0 = np.tile(default_y0(problem), (len(points), 1))
+    try:  # the four probes as rows of one call, each with its solo bits
+        grads = _method_gradient(problem, points, cfg, y0=y0)[0]
+    except (NumericalError, CapabilityError):
+        # one at a time, so that the failing probe raises its own error
+        grads = [_method_gradient(problem, p, cfg, y0=y)[0]
+                 for p, y in zip(points, y0)]
     lip = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):

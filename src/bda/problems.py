@@ -162,7 +162,20 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         _, z = split(w)
         return 4.0 * _dot(x - z, x - z) * (x - z)
 
+    def halves(x, w):
+        # (y - e, z - x) of (B, 2n) rows as one (B, 2, n) stack, written in
+        # place, which costs less than np.stack
+        D = np.empty((len(w), 2, n))
+        np.subtract(w[:, :n], e, out=D[:, 0])
+        np.subtract(w[:, n:], x, out=D[:, 1])
+        return D
+
     def grad_y_F(x, w):
+        # rows: one vecdot per inner product serves both halves; a vector
+        # keeps np.dot, which is faster there
+        if w.ndim == 2:
+            D = halves(x, w)
+            return (4.0 * np.vecdot(D, D, keepdims=True) * D).reshape(w.shape)
         y, z = split(w)
         gy = 4.0 * _dot(y - e, y - e) * (y - e)
         gz = 4.0 * _dot(x - z, x - z) * (z - x)
@@ -177,6 +190,11 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         return -y
 
     def hess_yy_F(x, w, v):
+        if w.ndim == 2:
+            D = halves(x, w)
+            V = v.reshape(D.shape)
+            dd, dv = (np.vecdot(D, U, keepdims=True) for U in (D, V))
+            return (4.0 * (dd * V + 2.0 * dv * D)).reshape(w.shape)
         y, z = split(w)
         vy, vz = split(v)
         dy = y - e
@@ -574,11 +592,15 @@ class _SoftmaxData:
         resid = self.probs(theta) - self.onehot          # (N, C)
         return ((weights[:, None] * resid).T @ self.aug).ravel()
 
-    def grad_dot(self, theta: Array, v: Array) -> Array:
-        """Per-sample <grad of sample i's cross-entropy, v>:
-        rowsum((P - Y) * (A V')), length N."""
-        resid = self.probs(theta) - self.onehot
-        return (resid * self.logits(v.reshape(theta.shape))).sum(axis=1)
+    def grad_dot(self, thetas: Array, vs: Array) -> Array:
+        """Per-sample <grad of sample i's cross-entropy, v_b> for each pair
+        (theta_b, v_b) of two (B, C, d+1) stacks: rowsum((P_b - Y) * (A V_b')),
+        a (B, N) array, each row with the bits of its pair alone.  Every P_b
+        comes from the memo, and the B products A V_b' from one stacked
+        matmul (a wide product A [V_1' ... V_B'] loses those bits at
+        d + 1 = 51)."""
+        resid = np.stack([self.probs(theta) for theta in thetas]) - self.onehot
+        return (resid * np.matmul(self.aug, vs.swapaxes(1, 2))).sum(axis=-1)
 
     def hess_vec(self, theta: Array, weights: Array, v: Array) -> Array:
         """sum_i w_i (diag(p_i) - p_i p_i') kron (u_i u_i') times v, flattened;
@@ -665,14 +687,17 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         return val.hess_vec(unpack(y), val_ones, v)
 
     def hess_yx_F(x, y, v):
-        return np.zeros(n)
+        return np.zeros(np.shape(x))
 
     def hess_yy_f(x, y, v):
         return train.hess_vec(unpack(y), sigmoid(x), v)
 
     def hess_yx_f(x, y, v):
-        w = sigmoid(x)
-        return w * (1.0 - w) * train.grad_dot(unpack(y), v)
+        # a point is a stack of one; rows repeat x once per kept step of a
+        # reverse pass, so their weights skip the memo
+        w = _sigmoid(x)
+        thetas, vs = (a.reshape(-1, C, d + 1) for a in (y, v))
+        return w * (1.0 - w) * train.grad_dot(thetas, vs).reshape(w.shape)
 
     # global smoothness bounds: each per-sample Hessian is bounded by
     # |u_i|^2 / 2 in spectral norm and the sigmoid weights sit in (0, 1)
@@ -681,7 +706,8 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     L_f = float(0.5 * train_row_sq.sum())
     L_F = float(0.5 * val_row_sq.sum())
 
-    # the 1-D oracles answer rows one row at a time, each through the memos
+    # the other eight oracles answer rows one row at a time, each through
+    # the 1-D call and its memos
     return BilevelProblem(
         name="hyperclean", n=n, m=m,
         region_x=BoxRegion.whole_space(n),
@@ -689,8 +715,8 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
         F=_per_row(F), f=_per_row(f),
         grad_x_F=_per_row(grad_x_F), grad_y_F=_per_row(grad_y_F),
         grad_y_f=_per_row(grad_y_f), grad_x_f=_per_row(grad_x_f),
-        hess_yy_f=_per_row(hess_yy_f), hess_yx_f=_per_row(hess_yx_f),
-        hess_yy_F=_per_row(hess_yy_F), hess_yx_F=_per_row(hess_yx_F),
+        hess_yy_f=_per_row(hess_yy_f), hess_yx_f=hess_yx_f,
+        hess_yy_F=_per_row(hess_yy_F), hess_yx_F=hess_yx_F,
         L_F=L_F, L_f=L_f, F_lower_bound=0.0,
         metadata={"config": cfg, "train": train, "val": val, "test": test,
                   "corrupted_mask": corrupted_mask},

@@ -9,7 +9,9 @@ from bda.hypergrad import (hypergrad_forward, hypergrad_implicit,
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import (BoxRegion, CapabilityError, ContractError,
                           NumericalError, rng_stream)
-from bda.problems import (lls_quadratic, make_counterexample,
+from bda.outer import SolverConfig, solve
+from bda.problems import (HypercleanConfig, lls_quadratic,
+                          make_counterexample, make_hypercleaning,
                           make_lls_quadratic, make_remark1, product_rows)
 from bda.verify import fd_gradient
 
@@ -186,6 +188,109 @@ def test_rows_need_matching_y0_rows():
                   y0=np.zeros((2, 4)))
 
 
+def _reference_reverse(problem, x, K, sched, mode, truncate_at):
+    """The reverse pass as one loop over the steps: each step subtracts its
+    x-side product (c_u C_F + c_l C_f)' q_k from g as it goes."""
+    y_K, trace = run_inner(problem, x, K, sched, mode=mode)
+    sched = trace.sched
+    p = problem.grad_y_F(x, y_K)
+    g = np.array(problem.grad_x_F(x, y_K), dtype=float)
+    kept = K if truncate_at is None else truncate_at
+    for k in range(K - 1, K - kept - 1, -1):
+        y = trace.ys[k]
+        q = np.where(trace.proj_active[k], 0.0, p)
+        if mode == "plain":
+            g -= sched.s_l * problem.hess_yx_f(x, y, q)
+            p = q - sched.s_l * problem.hess_yy_f(x, y, q)
+            continue
+        cu = sched.mu * trace.alphas[k] * sched.s_u
+        cl = (1.0 - sched.mu) * trace.betas[k] * sched.s_l
+        g -= cu * problem.hess_yx_F(x, y, q) + cl * problem.hess_yx_f(x, y, q)
+        p = q - (cu * problem.hess_yy_F(x, y, q)
+                 + cl * problem.hess_yy_f(x, y, q))
+    return g
+
+
+# (problem, step size): lls_quadratic's and the counterexample's LL boxes
+# clamp some steps of some rows; hyperclean's never does
+REVERSE_PROBLEMS = {
+    "lls": lambda n, seed: (dataclasses.replace(
+        make_lls_quadratic(n, n + 2, seed=seed),
+        region_y=BoxRegion.cube(n + 2, -0.3, 0.3)), None),
+    "counterexample": lambda n, seed: (make_counterexample(
+        n, y_radius=0.6), 0.1),
+    "hyperclean": lambda n, seed: (make_hypercleaning(HypercleanConfig(
+        num_classes=2, feature_dim=2, n_train=8, n_val=8, n_test=8,
+        corruption_fraction=0.25, seed=3)), None),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(kind=st.sampled_from(sorted(REVERSE_PROBLEMS)), n=st.integers(1, 4),
+       K=st.integers(0, 8), cut=st.sampled_from(["none", 0, 1, "half", "K"]),
+       mode=st.sampled_from(["bda", "plain"]), rows=st.integers(0, 3),
+       mixed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_reverse_equals_the_per_step_loop(kind, n, K, cut, mode, rows, mixed,
+                                          seed):
+    # byte for byte: the deferred x-side row call and the in-order
+    # reduction give each row the bits of the loop that subtracts per step
+    p, s = REVERSE_PROBLEMS[kind](n, seed % 1000)
+    s = s or 0.5 / max(p.L_F, p.L_f)
+    truncate_at = {"none": None, "half": K // 2, "K": K}.get(cut, cut)
+    if truncate_at is not None and truncate_at > K:
+        truncate_at = K
+    rng = rng_stream(seed)
+    x = 1.5 * rng.standard_normal((rows, p.n) if rows else p.n)
+    variants = [dict(), dict(mu=0.5, alpha_rule="constant", alpha_scale=0.0),
+                dict(mu=0.1, s_u=2.0 * s, beta_lower=0.5)]
+    scheds = [AggregationSchedule(**{"mu": 0.3, "s_u": s, "s_l": s, **v})
+              for v in variants]
+    sched = [scheds[i % 3] for i in range(rows)] if rows and mixed \
+        else scheds[seed % 3]
+    got = hypergrad_reverse(p, x, K, sched, mode=mode,
+                            truncate_at=truncate_at).gradient
+    want = _reference_reverse(p, x, K, sched, mode, truncate_at)
+    assert got.shape == want.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _counting(problem, calls):
+    """Copy of ``problem`` whose second-order oracles record the number of
+    points of each call in ``calls[name]``."""
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def call(x, y, v):
+            calls.setdefault(name, []).append(len(y) if y.ndim == 2 else 1)
+            return fn(x, y, v)
+        return call
+
+    names = ("hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
+    return dataclasses.replace(problem, **{m: counted(m) for m in names})
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("mode,truncate_at", [("bda", None), ("bda", 2),
+                                              ("plain", None), ("plain", 0)])
+def test_reverse_takes_x_side_products_in_one_row_call(rows, mode,
+                                                       truncate_at):
+    # per hypergradient, each x-side oracle takes all kept steps' points at
+    # once; the y-side ones run once per kept step, on the rows of x
+    calls = {}
+    p = _counting(make_counterexample(2, y_radius=0.6), calls)
+    x = 1.5 * rng_stream(4).standard_normal((rows, 2) if rows else 2)
+    K = 5
+    hypergrad_reverse(p, x, K, AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1),
+                      mode=mode, truncate_at=truncate_at)
+    kept, B = K if truncate_at is None else truncate_at, max(rows, 1)
+    second = ("yx_f", "yy_f") if mode == "plain" else \
+        ("yx_f", "yy_f", "yx_F", "yy_F")
+    want = {f"hess_{name}": ([kept * B] if kept else []) if "yx" in name
+            else [B] * kept for name in second}
+    assert {name: v for name, v in calls.items() if v} == \
+        {name: v for name, v in want.items() if v}
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
 @given(clamped=st.booleans(), n=st.integers(1, 4), rows=st.integers(1, 4),
        mode=st.sampled_from(["bda", "plain"]),
@@ -298,6 +403,22 @@ def test_implicit_singular_hessian_is_capability_error():
     p = make_remark1()
     with pytest.raises(CapabilityError):
         hypergrad_implicit(p, [1.0], [0.5, 0.3])
+
+
+def test_implicit_cg_overflow_is_numerical_error():
+    # from x = 1e155 the curvature p'Hp overflows to inf; inf <= 1e-12 * inf
+    # must not read as a Hessian that is not positive definite
+    p = dataclasses.replace(make_lls_quadratic(3, 5, 2),
+                            region_x=BoxRegion.whole_space(3))
+    x = np.full(3, 1e155)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_K, _ = run_inner(p, x, 5, PLAIN, mode="plain")
+        with pytest.raises(NumericalError, match="overflow"):
+            hypergrad_implicit(p, x, y_K)
+        record = solve(p, SolverConfig(method="ihg", K=5, lam=0.1, T_max=3,
+                                       sched=PLAIN), x0=x)
+    assert (record.status, record.error_class) == ("aborted", "NumericalError")
+    assert "overflow" in record.error
 
 
 def test_implicit_cg_stagnation_error_carries_residual():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import bda.outer
 from bda.hypergrad import hypergrad_onestage
 from bda.inner import AggregationSchedule, default_y0, run_inner
-from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
+from bda.numerics import (BoxRegion, CapabilityError, ContractError,
+                          NumericalError, rng_stream)
 from bda.outer import SolverConfig, outer_step, solve, solve_many
 from bda.problems import (HypercleanConfig, make_counterexample,
                           make_hypercleaning, make_lls_quadratic, make_remark1,
@@ -211,6 +212,55 @@ def test_default_lambda_probe_failure_aborts_with_empty_record():
     assert record.T == 0
     assert record.config["lambda"] is None
     assert len(record.metrics["phiK"]) == 0
+
+
+def _probe_loop_lambda(problem, cfg, x0):
+    """default_lambda with its four probes taken one point at a time."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    points = [x0] + [problem.region_x.project(
+        x0 + 0.5 * rng.standard_normal(problem.n)) for _ in range(3)]
+    grads = [bda.outer._method_gradient(problem, p, cfg,
+                                        y0=default_y0(problem))[0]
+             for p in points]
+    lip = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d = float(np.linalg.norm(points[i] - points[j]))
+            if d > 1e-12:
+                lip = max(lip, float(np.linalg.norm(grads[i] - grads[j])) / d)
+    return 0.5 / lip if lip > 0 else 1.0
+
+
+@pytest.mark.parametrize("method", ["bda", "rhg", "trhg", "ihg", "obda"])
+@pytest.mark.parametrize("kind", ["remark1", "lls", "hyperclean"])
+def test_default_lambda_row_call_equals_the_probe_loop(kind, method):
+    # the four probes go to the route as rows of one call; the step equals
+    # the one-point-at-a-time loop's bit for bit, and a failing probe
+    # raises the error the loop meets first
+    if kind == "remark1":
+        p, sched = make_remark1(), SCHED
+    elif kind == "lls":
+        p = make_lls_quadratic(2, 3, seed=6)
+        s = 0.4 / max(p.L_F, p.L_f)
+        sched = AggregationSchedule(mu=0.2, s_u=s, s_l=s)
+    else:
+        p = make_hypercleaning(HypercleanConfig(
+            num_classes=2, feature_dim=2, n_train=8, n_val=8, n_test=8,
+            corruption_fraction=0.25, seed=3))
+        sched = AggregationSchedule(mu=0.1, s_u=0.5 / p.L_F, s_l=0.5 / p.L_f)
+    cfg = SolverConfig(method=method, K=1 if method == "obda" else 6,
+                       truncate_at=3 if method == "trhg" else None,
+                       sched=sched, seed=11, cg_max_iter=200)
+    x0 = 0.3 * np.ones(p.n)
+    try:
+        want = _probe_loop_lambda(p, cfg, x0)
+    except (NumericalError, CapabilityError) as err:
+        with pytest.raises(type(err)) as got:
+            bda.outer.default_lambda(p, cfg, x0)
+        assert str(got.value) == str(err)
+        return
+    got = bda.outer.default_lambda(p, cfg, x0)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_approximate_stationarity_transfers_to_true_gradient():

@@ -234,6 +234,22 @@ def test_counterexample_f_independent_of_free_block():
     assert p.f(x, w) == p.f(x, w2)
 
 
+@pytest.mark.parametrize("n", [50, 137])
+def test_counterexample_stacked_row_kernels_keep_each_rows_bits(n):
+    # grad_y_F and hess_yy_F take both halves of (B, 2n) rows as one
+    # (B, 2, n) stack; each row keeps the bits of the 1-D call
+    p = make_counterexample(n)
+    rng = rng_stream(n)
+    for rows in (1, 7, 120):
+        X = rng.standard_normal((rows, n))
+        W, V = rng.standard_normal((2, rows, 2 * n))
+        for name, args in (("grad_y_F", (X, W)), ("hess_yy_F", (X, W, V))):
+            out = getattr(p, name)(*args)
+            for b in range(rows):
+                alone = getattr(p, name)(*(a[b] for a in args))
+                assert out[b].tobytes() == alone.tobytes(), (name, rows, b)
+
+
 def test_counterexample_rejects_bad_dimension():
     with pytest.raises(ContractError):
         make_counterexample(0)
@@ -531,6 +547,25 @@ def test_implicit_hypergradient_computes_two_softmaxes(softmax_calls):
     res = hypergrad_implicit(problem, x, y, cg_tol=1e-8)
     assert res.diagnostics["cg_iterations"] > 2
     assert len(softmax_calls) == 2
+
+
+@pytest.mark.parametrize("feature_dim", [2, 50])
+def test_hyperclean_hess_yx_f_rows_keep_each_rows_bits(feature_dim):
+    # the row kernel reads each row's probabilities from the memo and forms
+    # the V-logits by one stacked matmul; a wide aug @ V.reshape(B*C, d+1).T
+    # loses the per-row bits at d + 1 = 51
+    problem = make_hypercleaning(HypercleanConfig(
+        num_classes=3, feature_dim=feature_dim, n_train=57, seed=1))
+    rng = rng_stream(feature_dim)
+    for rows in (1, 3, 40):
+        X = rng.standard_normal((rows, problem.n))
+        Y, V = rng.standard_normal((2, rows, problem.m))
+        out = problem.hess_yx_f(X, Y, V)
+        assert out.shape == (rows, problem.n)
+        for b in range(rows):
+            alone = problem.hess_yx_f(X[b], Y[b], V[b])
+            assert out[b].tobytes() == alone.tobytes()
+    assert problem.hess_yx_F(X, Y, V).tobytes() == np.zeros(X.shape).tobytes()
 
 
 def test_hyperclean_optional_ul_ridge():
