@@ -151,15 +151,17 @@ def _method_gradient(problem: BilevelProblem, x, cfg: SolverConfig, y0=None,
     return res.gradient, trace.ys, trace.proj_active.any(axis=-1)
 
 
-def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0) -> float:
+def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0,
+                   y0=None) -> float:
     """Safe default UL step: 0.5 over an empirical Lipschitz estimate of the
-    hypergradient around the start point."""
+    hypergradient around the start point, each probe's inner run starting
+    from ``y0`` (default: 0 projected onto Y), as the solve's runs do."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     x0 = as_vector(x0, dim=problem.n, name="x0")
     points = np.array([x0, *(
         problem.region_x.project(x0 + 0.5 * rng.standard_normal(problem.n))
         for _ in range(3))])
-    y0 = np.tile(default_y0(problem), (len(points), 1))
+    y0 = np.tile(default_y0(problem) if y0 is None else y0, (len(points), 1))
     try:  # the four probes as rows of one call, each with its solo bits
         grads = _method_gradient(problem, points, cfg, y0=y0)[0]
     except (NumericalError, CapabilityError):
@@ -244,26 +246,24 @@ def _advance_all(problem: BilevelProblem, runs: list,
                  keep_inner: bool) -> None:
     """Step every run of ``solve_many`` until it stops or reaches T_max: the
     live runs from one hypergradient call on their rows while more than one
-    is left, else one by one."""
+    is left; a lone run computes its own step on 1-D arrays."""
     cfg = runs[0].cfg
     live, t = runs, 0
-    while len(live) > 1 and t < cfg.T_max:
+    while live and t < cfg.T_max:
         steps = [None] * len(live)
-        try:
-            g, ys, active = _method_gradient(
-                problem, np.array([run.x for run in live]), cfg,
-                y0=np.array([run.y_start for run in live]),
-                sched=[run.cfg.sched for run in live])
-            steps = [(g[b], ys[:, b], active[:, b]) for b in range(len(live))]
-        except (NumericalError, CapabilityError):
-            pass  # each start below recomputes its own step
+        if len(live) > 1:
+            try:
+                g, ys, active = _method_gradient(
+                    problem, np.array([run.x for run in live]), cfg,
+                    y0=np.array([run.y_start for run in live]),
+                    sched=[run.cfg.sched for run in live])
+                steps = [(g[b], ys[:, b], active[:, b])
+                         for b in range(len(live))]
+            except (NumericalError, CapabilityError):
+                pass  # each start below recomputes its own step
         live = [run for run, step in zip(live, steps)
                 if run.advance(problem, step, keep_inner)]
         t += 1
-    if live:  # one start left: stepped alone, without the batch bookkeeping
-        run = live[0]
-        while t < cfg.T_max and run.advance(problem, None, keep_inner):
-            t += 1
 
 
 class _Run:
@@ -286,7 +286,7 @@ class _Run:
         try:
             # resolved here so that a failing probe also aborts with a record
             if self.lam is None:
-                self.lam = default_lambda(problem, cfg, x)
+                self.lam = default_lambda(problem, cfg, x, self.y_start)
             g, ys, active = step if step is not None else \
                 _method_gradient(problem, x, cfg, y0=self.y_start)
             # f and F along the kept inner run, else at y_K alone

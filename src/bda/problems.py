@@ -10,7 +10,7 @@ so that metric and verification code has exact references.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,16 +78,6 @@ class BilevelProblem:
     def check_point(self, x, y) -> tuple[Array, Array]:
         return (as_vector(x, dim=self.n, name="x"),
                 as_vector(y, dim=self.m, name="y"))
-
-
-def _dot(a, b, keepdims=True):
-    """<a, b> of two vectors, or of each row of two (B, k) arrays as a (B, 1)
-    column that scales its row (a (B,) array without ``keepdims``); all give
-    np.dot's bits.  Vectors keep np.dot: its float scales a vector faster
-    than a length-1 array does."""
-    if a.ndim == 1:
-        return np.dot(a, b)
-    return np.vecdot(a, b, keepdims=keepdims)
 
 
 def _per_row(oracle):
@@ -160,26 +150,20 @@ def make_counterexample(n: int, x_radius: float = 100.0,
 
     def grad_x_F(x, w):
         _, z = split(w)
-        return 4.0 * _dot(x - z, x - z) * (x - z)
+        return 4.0 * np.vecdot(x - z, x - z, keepdims=True) * (x - z)
 
     def halves(x, w):
-        # (y - e, z - x) of (B, 2n) rows as one (B, 2, n) stack, written in
-        # place, which costs less than np.stack
-        D = np.empty((len(w), 2, n))
-        np.subtract(w[:, :n], e, out=D[:, 0])
-        np.subtract(w[:, n:], x, out=D[:, 1])
+        # (y - e, z - x) of a point or of (B, 2n) rows as one (..., 2, n)
+        # stack, written in place (cheaper than np.stack), so that one
+        # vecdot per inner product serves both halves
+        D = np.empty((*w.shape[:-1], 2, n))
+        np.subtract(w[..., :n], e, out=D[..., 0, :])
+        np.subtract(w[..., n:], x, out=D[..., 1, :])
         return D
 
     def grad_y_F(x, w):
-        # rows: one vecdot per inner product serves both halves; a vector
-        # keeps np.dot, which is faster there
-        if w.ndim == 2:
-            D = halves(x, w)
-            return (4.0 * np.vecdot(D, D, keepdims=True) * D).reshape(w.shape)
-        y, z = split(w)
-        gy = 4.0 * _dot(y - e, y - e) * (y - e)
-        gz = 4.0 * _dot(x - z, x - z) * (z - x)
-        return np.concatenate([gy, gz], axis=-1)
+        D = halves(x, w)
+        return (4.0 * np.vecdot(D, D, keepdims=True) * D).reshape(w.shape)
 
     def grad_y_f(x, w):
         y, _ = split(w)
@@ -190,24 +174,17 @@ def make_counterexample(n: int, x_radius: float = 100.0,
         return -y
 
     def hess_yy_F(x, w, v):
-        if w.ndim == 2:
-            D = halves(x, w)
-            V = v.reshape(D.shape)
-            dd, dv = (np.vecdot(D, U, keepdims=True) for U in (D, V))
-            return (4.0 * (dd * V + 2.0 * dv * D)).reshape(w.shape)
-        y, z = split(w)
-        vy, vz = split(v)
-        dy = y - e
-        dz = z - x
-        return 4.0 * np.concatenate(
-            [_dot(dy, dy) * vy + 2.0 * _dot(dy, vy) * dy,
-             _dot(dz, dz) * vz + 2.0 * _dot(dz, vz) * dz], axis=-1)
+        D = halves(x, w)
+        V = v.reshape(D.shape)
+        dd, dv = (np.vecdot(D, U, keepdims=True) for U in (D, V))
+        return (4.0 * (dd * V + 2.0 * dv * D)).reshape(w.shape)
 
     def hess_yx_F(x, w, v):
         _, z = split(w)
         _, vz = split(v)
         d = x - z
-        return -8.0 * _dot(d, vz) * d - 4.0 * _dot(d, d) * vz
+        return (-8.0 * np.vecdot(d, vz, keepdims=True) * d
+                - 4.0 * np.vecdot(d, d, keepdims=True) * vz)
 
     def hess_yy_f(x, w, v):
         vy, _ = split(v)
@@ -341,7 +318,6 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
     """
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
-    base = make_remark1()
 
     @_per_row
     def f(x, y):
@@ -356,26 +332,20 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
     def y_star_of_x(x):
         return np.array([x[0], 0.0])
 
-    def f_star_of_x(x):
-        return float(-0.5 * x[0] ** 2)
-
     def phi_star_of_x(x):
         return float(0.5 * x[0] ** 2 + 0.5 * (x[0] - 1.0) ** 2)
 
     def grad_phi_of_x(x):
         return np.array([2.0 * x[0] - 1.0])
 
-    return BilevelProblem(
-        name=f"remark1_regularized(eps={epsilon:g})", n=1, m=2,
-        region_x=base.region_x, region_y=base.region_y,
-        F=base.F, f=f,
-        grad_x_F=base.grad_x_F, grad_y_F=base.grad_y_F, grad_y_f=grad_y_f,
-        grad_x_f=base.grad_x_f,
-        hess_yy_f=hess_yy_f, hess_yx_f=base.hess_yx_f,
-        hess_yy_F=base.hess_yy_F, hess_yx_F=base.hess_yx_F,
-        L_F=1.0, L_f=1.0, F_lower_bound=0.0,
-        y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
-        phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
+    # f(x, .) keeps remark1's minimum value -x^2/2, so f_star_of_x stays;
+    # grad_yy f = diag(1, epsilon) has norm max(1, epsilon)
+    return replace(
+        make_remark1(), name=f"remark1_regularized(eps={epsilon:g})",
+        f=f, grad_y_f=grad_y_f, hess_yy_f=hess_yy_f,
+        L_f=float(max(1.0, epsilon)),
+        y_star_of_x=y_star_of_x, phi_star_of_x=phi_star_of_x,
+        grad_phi_of_x=grad_phi_of_x,
         x_opt=np.array([0.5]), y_opt=np.array([0.5, 0.0]),
     )
 
@@ -407,16 +377,18 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         raise ContractError("lls_quadratic: A must be positive definite")
     L_f = float(eigvals[-1])
     M = np.linalg.solve(A, B)  # dy*/dx
-    # global x minimizer of phi(x) = ||Mx - b||^2/2 + rho ||x||^2/2
+    region_x = BoxRegion.cube(n, -x_radius, x_radius)
+    # global x minimizer of phi(x) = ||Mx - b||^2/2 + rho ||x||^2/2; no
+    # reference when it lies outside X, where no run can reach it
     x_opt = np.linalg.solve(M.T @ M + rho * np.eye(n), M.T @ b)
+    if region_x.active_mask(x_opt).any():
+        x_opt = None
 
     def F(x, y):
-        return (0.5 * _dot(y - b, y - b, keepdims=False)
-                + 0.5 * rho * _dot(x, x, keepdims=False))
+        return 0.5 * np.vecdot(y - b, y - b) + 0.5 * rho * np.vecdot(x, x)
 
     def f(x, y):
-        return (0.5 * _dot(y, matvec(A, y), keepdims=False)
-                - _dot(matvec(B, x), y, keepdims=False))
+        return 0.5 * np.vecdot(y, matvec(A, y)) - np.vecdot(matvec(B, x), y)
 
     def grad_x_F(x, y):
         return rho * x
@@ -462,8 +434,7 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
                 else BoxRegion.cube(m, -y_radius, y_radius))
     return BilevelProblem(
         name=name, n=n, m=m,
-        region_x=BoxRegion.cube(n, -x_radius, x_radius),
-        region_y=region_y,
+        region_x=region_x, region_y=region_y,
         F=F, f=f,
         grad_x_F=grad_x_F, grad_y_F=grad_y_F, grad_y_f=grad_y_f,
         grad_x_f=grad_x_f,
@@ -472,7 +443,7 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         L_F=1.0, L_f=L_f, F_lower_bound=0.0,
         y_star_of_x=y_star_of_x, f_star_of_x=f_star_of_x,
         phi_star_of_x=phi_star_of_x, grad_phi_of_x=grad_phi_of_x,
-        x_opt=x_opt, y_opt=M @ x_opt,
+        x_opt=x_opt, y_opt=None if x_opt is None else M @ x_opt,
         metadata={"A": A},
     )
 

@@ -214,13 +214,13 @@ def test_default_lambda_probe_failure_aborts_with_empty_record():
     assert len(record.metrics["phiK"]) == 0
 
 
-def _probe_loop_lambda(problem, cfg, x0):
+def _probe_loop_lambda(problem, cfg, x0, y0=None):
     """default_lambda with its four probes taken one point at a time."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     points = [x0] + [problem.region_x.project(
         x0 + 0.5 * rng.standard_normal(problem.n)) for _ in range(3)]
-    grads = [bda.outer._method_gradient(problem, p, cfg,
-                                        y0=default_y0(problem))[0]
+    y0 = default_y0(problem) if y0 is None else y0
+    grads = [bda.outer._method_gradient(problem, p, cfg, y0=y0)[0]
              for p in points]
     lip = 0.0
     for i in range(4):
@@ -261,6 +261,20 @@ def test_default_lambda_row_call_equals_the_probe_loop(kind, method):
         return
     got = bda.outer.default_lambda(p, cfg, x0)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_default_step_probes_from_the_runs_own_y0():
+    # the run starts its inner runs from y0 = (2.5, 2.5, 2.5, 0, 0, 0); its
+    # hypergradient at x = 0 is -0.55 per coordinate, against -4.0 from the
+    # default y0, so the step fitted to the default start is far too small
+    p = make_counterexample(3, y_radius=1.5)
+    y0 = np.concatenate([2.5 * np.ones(3), np.zeros(3)])
+    cfg = SolverConfig(method="bda", K=10, T_max=1, seed=0)
+    x0 = np.zeros(3)
+    want = _probe_loop_lambda(p, cfg, x0, y0=y0)
+    assert want != pytest.approx(_probe_loop_lambda(p, cfg, x0), rel=0.5)
+    assert bda.outer.default_lambda(p, cfg, x0, y0=y0) == want
+    assert solve(p, cfg, y0=y0).config["lambda"] == want
 
 
 def test_approximate_stationarity_transfers_to_true_gradient():

@@ -234,20 +234,55 @@ def test_counterexample_f_independent_of_free_block():
     assert p.f(x, w) == p.f(x, w2)
 
 
-@pytest.mark.parametrize("n", [50, 137])
-def test_counterexample_stacked_row_kernels_keep_each_rows_bits(n):
-    # grad_y_F and hess_yy_F take both halves of (B, 2n) rows as one
-    # (B, 2, n) stack; each row keeps the bits of the 1-D call
+def _counterexample_closed_forms(n):
+    """The counterexample's y- and x-side F oracles on one point, written
+    out half by half with np.dot: the reference for the one kernel that
+    serves points and rows."""
+    e = np.ones(n)
+
+    def grad_x_F(x, w):
+        d = x - w[n:]
+        return 4.0 * np.dot(d, d) * d
+
+    def grad_y_F(x, w):
+        y, z = w[:n], w[n:]
+        return np.concatenate([4.0 * np.dot(y - e, y - e) * (y - e),
+                               4.0 * np.dot(x - z, x - z) * (z - x)])
+
+    def hess_yy_F(x, w, v):
+        dy, dz = w[:n] - e, w[n:] - x
+        vy, vz = v[:n], v[n:]
+        return 4.0 * np.concatenate(
+            [np.dot(dy, dy) * vy + 2.0 * np.dot(dy, vy) * dy,
+             np.dot(dz, dz) * vz + 2.0 * np.dot(dz, vz) * dz])
+
+    def hess_yx_F(x, w, v):
+        d, vz = x - w[n:], v[n:]
+        return -8.0 * np.dot(d, vz) * d - 4.0 * np.dot(d, d) * vz
+
+    return {"grad_x_F": grad_x_F, "grad_y_F": grad_y_F,
+            "hess_yy_F": hess_yy_F, "hess_yx_F": hess_yx_F}
+
+
+@pytest.mark.parametrize("n", [1, 3, 50, 137])
+def test_counterexample_one_kernel_keeps_the_closed_forms_bits(n):
+    # one body per oracle serves a point and (B, 2n) rows alike (grad_y_F
+    # and hess_yy_F on one (..., 2, n) stack of both halves); each answer,
+    # and each row, keeps the bits of the half-by-half np.dot closed form
     p = make_counterexample(n)
+    reference = _counterexample_closed_forms(n)
     rng = rng_stream(n)
     for rows in (1, 7, 120):
         X = rng.standard_normal((rows, n))
         W, V = rng.standard_normal((2, rows, 2 * n))
-        for name, args in (("grad_y_F", (X, W)), ("hess_yy_F", (X, W, V))):
+        for name, want in reference.items():
+            args = (X, W, V) if name.startswith("hess_") else (X, W)
             out = getattr(p, name)(*args)
             for b in range(rows):
-                alone = getattr(p, name)(*(a[b] for a in args))
-                assert out[b].tobytes() == alone.tobytes(), (name, rows, b)
+                row = [a[b] for a in args]
+                expected = want(*row).tobytes()
+                assert out[b].tobytes() == expected, (name, rows, b)
+                assert getattr(p, name)(*row).tobytes() == expected, (name, b)
 
 
 def test_counterexample_rejects_bad_dimension():
@@ -283,6 +318,24 @@ def test_remark1_closed_form_matches_brute_force_grid():
     # value-level agreement: the analytic minimizer is minimal on the grid
     _, grid_val = grid_argmin(phi_K, (-100.0, 100.0), 10_000, vectorized=True)
     assert grid_val >= phi_K(np.array([x_K]))[0] - 1e-6
+
+
+def test_remark1_regularized_changes_only_what_epsilon_touches():
+    # F and its derivatives, f's x-side derivatives and the value function
+    # f* answer as remark1's own; f* is still the minimum of f(x, .)
+    base, p = make_remark1(), make_remark1_regularized(0.05)
+    rng = rng_stream(3)
+    for _ in range(4):
+        x, y = _sample_xy(p, rng, scale=2.0)
+        v = rng.standard_normal(2)
+        for name in ("F", "grad_x_F", "grad_y_F", "grad_x_f"):
+            assert np.array_equal(getattr(p, name)(x, y),
+                                  getattr(base, name)(x, y)), name
+        for name in ("hess_yx_f", "hess_yy_F", "hess_yx_F"):
+            assert np.array_equal(getattr(p, name)(x, y, v),
+                                  getattr(base, name)(x, y, v)), name
+        assert p.f_star_of_x(x) == p.f(x, p.y_star_of_x(x))
+    assert (p.L_F, p.L_f, p.F_lower_bound) == (1.0, 1.0, 0.0)
 
 
 def test_remark1_regularized_moves_optimum_to_half():
@@ -323,6 +376,48 @@ def test_lls_random_instance_stationarity_residual():
         x = rng.standard_normal(3)
         resid = np.linalg.norm(p.grad_y_f(x, p.y_star_of_x(x)))
         assert resid <= 1e-10
+
+
+def test_lls_reference_only_inside_the_box():
+    # seed 0's minimizer of phi leaves X = [-2, 2]^5 (x_opt[4] = -2.107):
+    # no run can reach it, so the problem declares no reference
+    p = make_lls_quadratic(5, 10, seed=0)
+    assert p.x_opt is None and p.y_opt is None
+    # a feasible seed keeps the unconstrained minimizer, bit for bit
+    p = make_lls_quadratic(5, 10, seed=12)
+    x, y = np.zeros(5), np.zeros(10)
+    B = -problems.product_rows(lambda v: p.hess_yx_f(x, y, v), 10)
+    b = -p.grad_y_F(x, y)
+    M = np.linalg.solve(p.metadata["A"], B)
+    want = np.linalg.solve(M.T @ M + 0.1 * np.eye(5), M.T @ b)
+    assert p.x_opt.tobytes() == want.tobytes()
+    assert p.y_opt.tobytes() == (M @ want).tobytes()
+    assert np.abs(p.x_opt).max() <= 2.0
+
+
+@pytest.mark.parametrize(
+    "problem", [*ALL_PROBLEMS, make_remark1_regularized(4.0)],
+    ids=lambda p: p.name)
+def test_declared_smoothness_constants_bound_the_hessians(problem):
+    # L_f (and L_F where declared) bounds the spectral norm of the yy
+    # Hessian at every sampled point; with eps = 4, grad_yy f = diag(1, 4)
+    rng = rng_stream(5)
+    for _ in range(6):
+        x, y = _sample_xy(problem, rng, scale=2.0)
+        for product, bound in ((problem.hess_yy_f, problem.L_f),
+                               (problem.hess_yy_F, problem.L_F)):
+            if bound is None:
+                continue
+            H = problems.product_rows(lambda v: product(x, y, v), problem.m)
+            assert np.linalg.norm(H, 2) <= bound * (1 + 1e-12), product
+
+
+def test_remark1_regularized_rejects_a_step_beyond_its_curvature():
+    # grad_yy f = diag(1, 4): with s_l = 0.5, plain descent flips the sign
+    # of the second coordinate forever, so the schedule is not admissible
+    with pytest.raises(ContractError):
+        AggregationSchedule(mu=0.5, s_u=0.5, s_l=0.5).require_admissible(
+            make_remark1_regularized(4.0))
 
 
 def test_lls_sigma_is_min_eigenvalue():
