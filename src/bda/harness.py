@@ -105,6 +105,8 @@ def load_config(path: str) -> ExperimentConfig:
         if not seeds:
             raise ConfigError("the run has no seeds: give repeats >= 1 or a "
                               "non-empty seeds list")
+        if any(s < 0 for s in seeds):
+            raise ConfigError(f"seeds must be >= 0, got {seeds}")
         if len(set(seeds)) < len(seeds):
             raise ConfigError(f"seeds repeated: {seeds}; each seed writes "
                               f"its own files")
@@ -204,17 +206,32 @@ def emit_inner_trace(record: RunRecord, path: str) -> None:
 
 
 def write_summary(payload: dict, path: str) -> None:
+    """Write ``payload`` as strict JSON (atomically): a non-finite number,
+    in an array too, is written as null, as ``_fmt`` leaves its CSV cell
+    empty."""
     def write(fh):
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True,
+                  default=_json_default, allow_nan=False)
         fh.write("\n")
 
     _atomic_write(path, write)
 
 
-def _json_default(obj):
+def _finite(obj):
+    """``obj`` with arrays as lists and each non-finite float as None."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
+
+
+def _json_default(obj):
+    if isinstance(obj, np.integer):
         return obj.item()
     if isinstance(obj, (HypercleanConfig,)):
         return vars(obj)

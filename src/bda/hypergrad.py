@@ -7,7 +7,7 @@ finite-difference scheme, all on the problem's Hessian-vector products.
 Unrolled estimators differentiate through an active box projection with the
 diagonal 0/1 generalized Jacobian that zeroes clamped coordinates.  Every
 route takes one point or (B, n) rows of points, each row with the bits of
-its solo call.
+its solo call; the implicit and one-stage routes solve each row alone.
 """
 from __future__ import annotations
 
@@ -160,58 +160,47 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int,
 
 
 def _conjugate_gradient(hess, b: np.ndarray, tol: float, max_iter: int):
-    """Plain CG with curvature monitoring on each row of the (B, m) stack b,
-    one system per row: hess(rows, p) gives the products H p of the rows
-    ``rows`` (an index array) on the (len(rows), m) directions p.  Returns
-    (solution, residual, iters), one per row; each row is taken at its own
-    convergence and leaves the system set, so it has the bits of its solo
-    solve.  A row of non-positive curvature, one whose curvature or
-    residual overflows, or one that stalls raises for all."""
-    solution = np.zeros_like(b)
-    residual, iters = np.zeros(len(b)), np.zeros(len(b), dtype=int)
-    # inner products as (rows, 1) columns: np.dot's bits on each row
-    bnorm = np.sqrt(np.vecdot(b, b, keepdims=True))
-    live = np.flatnonzero(bnorm)  # b = 0 has the solution 0
-    goal = tol * np.maximum(1.0, bnorm[live])
-    x = solution[live]
-    r = b[live]
+    """Plain CG on hess(p) = H p with curvature monitoring; returns
+    (solution, residual, iters).  Non-positive curvature, a curvature or
+    residual that overflows, or a stall raises."""
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, 0.0, 0
+    r = b.copy()
     p = r.copy()
-    rs = np.vecdot(r, r, keepdims=True)
+    rs = float(r @ r)
     for it in range(1, max_iter + 1):
-        if not len(live):
-            break
-        Hp = hess(live, p)
-        curv = np.vecdot(p, Hp, keepdims=True)
-        if not (np.isfinite(curv).all() and np.isfinite(rs).all()):
+        Hp = hess(p)
+        curv = float(p @ Hp)
+        if not (np.isfinite(curv) and np.isfinite(rs)):
             raise NumericalError(
                 f"CG curvature or residual non-finite at iteration {it} "
                 f"(overflow)")
-        flat = curv <= 1e-12 * np.vecdot(p, p, keepdims=True)
-        if np.count_nonzero(flat):
+        if curv <= 1e-12 * float(p @ p):
             raise CapabilityError(
                 f"lower-level Hessian is not positive definite "
-                f"(curvature {curv[flat][0]:.3e} on CG direction at "
-                f"iteration {it})")
+                f"(curvature {curv:.3e} on CG direction at iteration {it})")
         step = rs / curv
         x = x + step * p
         r = r - step * Hp
-        rs_new = np.vecdot(r, r, keepdims=True)
-        res = np.sqrt(rs_new)
-        done = (res <= goal)[:, 0]
-        if np.count_nonzero(done):
-            solution[live[done]] = x[done]
-            residual[live[done]] = res[done, 0]
-            iters[live[done]] = it
-            go = ~done
-            live, goal, x, r, p, rs, rs_new = (
-                a[go] for a in (live, goal, x, r, p, rs, rs_new))
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= tol * max(1.0, bnorm):
+            return x, float(np.sqrt(rs_new)), it
         p = r + (rs_new / rs) * p
         rs = rs_new
-    if len(live):
-        raise NumericalError(
-            f"CG stalled after {max_iter} iterations, residual "
-            f"{np.sqrt(rs.max()):.3e} > tol {tol:.3e}")
-    return solution, residual, iters
+    raise NumericalError(
+        f"CG stalled after {max_iter} iterations, residual "
+        f"{np.sqrt(rs):.3e} > tol {tol:.3e}")
+
+
+def _stacked(results) -> HypergradResult:
+    """The per-row results of a row call as one: the gradients as (B, n)
+    rows and each diagnostic as a (B, ...) array."""
+    return HypergradResult(
+        gradient=np.array([res.gradient for res in results]),
+        diagnostics={key: np.array([res.diagnostics[key] for res in results])
+                     for key in results[0].diagnostics})
 
 
 def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
@@ -220,10 +209,10 @@ def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
     """Implicit route: solve (grad_yy f) q = grad_y_F by CG on hess_yy_f
     products, then grad = grad_x_F - hess_yx_f(q).
 
-    x and y_hat may be (B, n) and (B, m) rows, one system each: the gradient
-    is then (B, n) and ``cg_iterations`` and ``cg_residual`` are (B,)
-    arrays, each row with the bits of that row alone; a row whose CG fails,
-    or whose gradient is non-finite, raises for all of them.
+    x and y_hat may be (B, n) and (B, m) rows, each solved alone: the
+    gradient is then (B, n) and ``cg_iterations`` and ``cg_residual`` are
+    (B,) arrays; a row whose CG fails, or whose gradient is non-finite,
+    raises for all of them.
     """
     problem.require(*IMPLICIT_ORACLES)
     x = as_vector(x, dim=problem.n, name="x", rows=True)
@@ -231,17 +220,14 @@ def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
     if x.shape[:-1] != y_hat.shape[:-1]:
         raise ContractError(f"hypergrad_implicit: y of shape {y_hat.shape} "
                             f"does not fit x of shape {x.shape}")
+    if x.ndim == 2:
+        return _stacked([hypergrad_implicit(problem, xb, yb, cg_tol,
+                                            cg_max_iter)
+                         for xb, yb in zip(x, y_hat)])
     bvec = np.asarray(problem.grad_y_F(x, y_hat), dtype=float)
     max_iter = cg_max_iter if cg_max_iter is not None else 10 * problem.m
-    if x.ndim == 1:  # a batch of one row, its products on the point itself
-        q, residual, iters = _conjugate_gradient(
-            lambda rows, v: problem.hess_yy_f(x, y_hat, v[0])[None],
-            bvec[None], cg_tol, max_iter)
-        q, residual, iters = q[0], float(residual[0]), int(iters[0])
-    else:
-        q, residual, iters = _conjugate_gradient(
-            lambda rows, v: problem.hess_yy_f(x[rows], y_hat[rows], v),
-            bvec, cg_tol, max_iter)
+    q, residual, iters = _conjugate_gradient(
+        lambda v: problem.hess_yy_f(x, y_hat, v), bvec, cg_tol, max_iter)
     g = np.asarray(problem.grad_x_F(x, y_hat), dtype=float) \
         - problem.hess_yx_f(x, y_hat, q)
     if not np.isfinite(g).all():
@@ -266,9 +252,9 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
     is used instead.
 
     x and y0 may be (B, n) and (B, m) rows, and ``sched`` one schedule per
-    row, as in ``run_inner``: each row takes its own branch, with the bits of
-    that row alone, and ``branch`` is then a (B,) array; a branch is computed
-    only when some row takes it, and a row that fails a check raises for all.
+    row, as in ``run_inner``: each row is solved alone under its own
+    schedule, ``branch`` is then a (B,) array and ``y1`` (B, m) rows, and a
+    row that fails a check raises for all.
     """
     if eps <= 0:
         raise ContractError("hypergrad_onestage: eps must be positive")
@@ -279,7 +265,12 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
     if x.shape[:-1] != y0.shape[:-1]:
         raise ContractError(f"hypergrad_onestage: y0 of shape {y0.shape} "
                             f"does not fit x of shape {x.shape}")
-    sched = schedule_rows(sched, x.shape[:-1])
+    schedule_rows(sched, x.shape[:-1])  # one schedule, or one per row of x
+    if x.ndim == 2:
+        scheds = [sched] * len(x) if isinstance(sched, AggregationSchedule) \
+            else sched
+        return _stacked([hypergrad_onestage(problem, xb, yb, sb, eps)
+                         for xb, yb, sb in zip(x, y0, scheds)])
     alphas, betas = sched.weights(1)
 
     s = sched.s_l
@@ -294,46 +285,30 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
         return alpha * np.asarray(problem.grad_x_F(x, yv)) \
             + beta * np.asarray(problem.grad_x_f(x, yv))
 
-    def check_probes(takes, *pairs):
-        # a row of this branch whose probe points coincide in floating point
-        coincide = takes & (v != 0.0).any(axis=-1)
-        for h_plus, h_minus in pairs:
-            coincide = coincide & (h_plus == h_minus).all(axis=-1)
-        if np.count_nonzero(coincide):
-            raise NumericalError(f"eps={eps:g} too small: probe points "
-                                 f"coincide in floating point")
-
     z0 = y0 - s * grad_y_phi(y0)
-    projected = problem.region_y.active_mask(z0).any(axis=-1)  # per row
-    clipped_rows = np.count_nonzero(projected)
+    projected = bool(problem.region_y.active_mask(z0).any())
     y1 = problem.region_y.project(z0)
     v = np.asarray(problem.grad_y_F(x, y1), dtype=float)
     g_direct = np.asarray(problem.grad_x_F(x, y1), dtype=float)
 
-    g = None
-    if clipped_rows < projected.size:  # some row stays interior
-        h_plus = y0 + eps * v
-        h_minus = y0 - eps * v
-        check_probes(~projected, (h_plus, h_minus))
-        g = g_direct - s * (grad_x_phi(h_plus) - grad_x_phi(h_minus)) \
-            / (2.0 * eps)
-    if clipped_rows:
+    # differences of grad_x phi over probe pairs y0 +- eps w: w = v on an
+    # interior step, w = P(z0 + root v) and P(z0 - root v) on a clipped one
+    if projected:
         root = np.sqrt(eps)
-        w_plus = problem.region_y.project(z0 + root * v)
-        w_minus = problem.region_y.project(z0 - root * v)
-        h_pp = y0 + eps * w_plus
-        h_mp = y0 - eps * w_plus
-        h_pm = y0 + eps * w_minus
-        h_mm = y0 - eps * w_minus
-        check_probes(projected, (h_pp, h_mp), (h_pm, h_mm))
-        numer = (grad_x_phi(h_pp) - grad_x_phi(h_mp)
-                 - (grad_x_phi(h_pm) - grad_x_phi(h_mm)))
-        clipped = g_direct - s * numer / (4.0 * eps ** 1.5)
-        g = clipped if g is None else \
-            np.where(projected[:, None], clipped, g)
+        ws = [problem.region_y.project(z0 + root * v),
+              problem.region_y.project(z0 - root * v)]
+        scale = 4.0 * eps ** 1.5
+    else:
+        ws, scale = [v], 2.0 * eps
+    pairs = [(y0 + eps * w, y0 - eps * w) for w in ws]
+    if np.any(v != 0.0) and all(np.array_equal(*pair) for pair in pairs):
+        raise NumericalError(f"eps={eps:g} too small: probe points coincide "
+                             f"in floating point")
+    diffs = [grad_x_phi(h_plus) - grad_x_phi(h_minus)
+             for h_plus, h_minus in pairs]
+    g = g_direct - s * (diffs[0] - diffs[1] if projected else diffs[0]) \
+        / scale
     if not np.isfinite(g).all():
         raise NumericalError("one-stage hypergradient is non-finite")
-    branch = np.where(projected, "projected", "interior") if x.ndim == 2 \
-        else "projected" if projected else "interior"
-    return HypergradResult(gradient=g,
-                           diagnostics={"branch": branch, "y1": y1})
+    return HypergradResult(gradient=g, diagnostics={
+        "branch": "projected" if projected else "interior", "y1": y1})

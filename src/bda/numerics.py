@@ -65,8 +65,11 @@ def typed_value(name: str, value, kind: type, nullable: bool = False):
 
 def rng_stream(seed: int) -> np.random.Generator:
     """Deterministic random stream; identical seeds give identical draws on
-    every platform (PCG64 is fully specified)."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    every platform (PCG64 is fully specified).  A seed must be >= 0."""
+    seed = int(seed)
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)

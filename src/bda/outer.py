@@ -19,7 +19,7 @@ from .hypergrad import (IMPLICIT_ORACLES, ONESTAGE_ORACLES, UNROLL_ORACLES,
                         hypergrad_reverse)
 from .inner import AggregationSchedule, default_y0, inner_values, run_inner
 from .numerics import (BoxRegion, CapabilityError, ContractError,
-                       NumericalError, as_vector)
+                       NumericalError, as_vector, rng_stream)
 from .problems import BilevelProblem
 
 # One row per method: the inner dynamics ('bda' aggregated | 'plain' descent),
@@ -75,6 +75,7 @@ class SolverConfig:
                 ("lam", self.lam is None or 0 < self.lam < np.inf,
                  "positive and finite"),
                 ("stop_tol", np.isfinite(self.stop_tol), "finite"),
+                ("seed", self.seed >= 0, ">= 0"),
                 ("cg_tol", 0 < self.cg_tol < np.inf, "positive and finite"),
                 ("cg_max_iter", self.cg_max_iter is None
                  or self.cg_max_iter >= 1, ">= 1")):
@@ -156,7 +157,7 @@ def default_lambda(problem: BilevelProblem, cfg: SolverConfig, x0,
     """Safe default UL step: 0.5 over an empirical Lipschitz estimate of the
     hypergradient around the start point, each probe's inner run starting
     from ``y0`` (default: 0 projected onto Y), as the solve's runs do."""
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = rng_stream(cfg.seed)
     x0 = as_vector(x0, dim=problem.n, name="x0")
     points = np.array([x0, *(
         problem.region_x.project(x0 + 0.5 * rng.standard_normal(problem.n))

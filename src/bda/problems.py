@@ -489,6 +489,8 @@ class HypercleanConfig:
             raise ContractError("hyperclean: need >= 2 classes and >= 1 feature")
         if self.ul_ridge < 0:
             raise ContractError("hyperclean: ul_ridge must be >= 0")
+        if self.seed < 0:
+            raise ContractError("hyperclean: seed must be >= 0")
 
 
 def _sigmoid(t):

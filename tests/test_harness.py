@@ -739,6 +739,33 @@ def test_suites_refuse_bad_input_before_creating_out(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seeds": [-1]}, {"seed": -1},
+    {"problem": "lls_quadratic", "problem_params": {"n": 2, "m": 3,
+                                                    "seed": -1}}])
+def test_cli_run_negative_seed_exits_3_before_creating_out(tmp_path, capsys,
+                                                          overrides):
+    # without lambda each ended in numpy's ValueError, exit 1, some after
+    # creating out
+    cfg_path = _write_config(str(tmp_path / "cfg.json"),
+                             **{"lambda": None, **overrides})
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", cfg_path,
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_hyperclean_negative_seed_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "hc.json"
+    cfg_path.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    out = tmp_path / "hc"
+    assert cli_main(["hyperclean", "--config", str(cfg_path), "--methods",
+                     "bda", "--out", str(out)]) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # hyper-cleaning suite
 # ---------------------------------------------------------------------------
@@ -762,6 +789,31 @@ def test_zero_corruption_methods_match_baseline(tmp_path):
                                                           seed=1))
         mets = hyperclean_metrics(problem, record.x_final, record.y_final)
         assert abs(mets["val_acc"] - base["val_acc"]) <= 0.01
+
+
+def test_summaries_are_strict_json(tmp_path):
+    # with nothing corrupted the mean weight on corrupted samples is NaN,
+    # which json.dump wrote as the non-JSON token NaN
+    def strict(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    cfg_path = tmp_path / "hc.json"
+    cfg_path.write_text(json.dumps({"corruption_fraction": 0.0, "seed": 1,
+                                    "n_train": 10, "n_val": 10,
+                                    "n_test": 10}), encoding="utf-8")
+    out = tmp_path / "hc"
+    assert cli_main(["hyperclean", "--config", str(cfg_path), "--methods",
+                     "ihg", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=strict)
+    assert [row["mean_sigma_corrupted"] for row in summary["results"]] == \
+        [None, None]
+    path = tmp_path / "summary.json"
+    write_summary({"a": np.array([[1.5, np.nan]]), "b": (np.inf, 2),
+                   "c": {"d": np.float32(-np.inf), "e": np.int64(3)}}, path)
+    assert json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=strict) == \
+        {"a": [[1.5, None]], "b": [None, 2], "c": {"d": None, "e": 3}}
 
 
 @pytest.mark.parametrize("methods", ["", "bda,bda", "ihg,obda,ihg"])

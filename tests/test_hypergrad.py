@@ -578,3 +578,29 @@ def test_onestage_rows_need_matching_y0_rows():
     p = make_remark1()
     with pytest.raises(ContractError, match="does not fit"):
         hypergrad_onestage(p, np.zeros((2, 1)), np.zeros(2), ONESTAGE)
+
+
+def test_onestage_batch_does_only_its_rows_own_work():
+    # an interior row takes two grad_x_f rows, a projected one four: a batch
+    # that mixes them asks for as many rows as its solo calls together
+    base = make_counterexample(3, y_radius=0.6)
+    rows = [0]
+
+    def grad_x_f(x, y):
+        rows[0] += len(y) if np.ndim(y) == 2 else 1
+        return base.grad_x_f(x, y)
+
+    p = dataclasses.replace(base, grad_x_f=grad_x_f)
+    rng = rng_stream(3)
+    X = rng.standard_normal((4, 3))
+    X[0] *= 1e-3
+    X[1] = 8.0 + np.abs(X[1])
+    Y0 = rng.uniform(-0.01, 0.01, (4, p.m))
+    branch = hypergrad_onestage(p, X, Y0, ONESTAGE,
+                                eps=1e-6).diagnostics["branch"]
+    batch, rows[0] = rows[0], 0
+    for b in range(4):
+        hypergrad_onestage(p, X[b], Y0[b], ONESTAGE, eps=1e-6)
+    assert list(branch[:2]) == ["interior", "projected"]
+    assert batch == rows[0] == 2 * len(branch) + 2 * np.count_nonzero(
+        branch == "projected")

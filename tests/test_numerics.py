@@ -166,3 +166,9 @@ def test_rng_different_seeds_differ_quickly():
 def test_rng_uniform_mean():
     draws = rng_stream(0).random(100_000)
     assert abs(draws.mean() - 0.5) < 0.01
+
+
+def test_rng_negative_seed_is_contract_error():
+    # numpy's PCG64 raised a bare ValueError, which the CLI let escape
+    with pytest.raises(ContractError, match="seed must be >= 0"):
+        rng_stream(-1)

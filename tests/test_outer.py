@@ -51,6 +51,13 @@ def test_solver_config_validation():
             SolverConfig(method="ihg", **bad)
 
 
+def test_solver_config_rejects_a_negative_seed():
+    # default_lambda's probes draw from rng_stream(seed), which takes no
+    # negative seed
+    with pytest.raises(ContractError, match="seed must be >= 0"):
+        SolverConfig(method="bda", seed=-1)
+
+
 def test_single_outer_iteration():
     p = make_remark1()
     cfg = SolverConfig(method="rhg", K=5, lam=0.5, T_max=1, sched=SCHED)
