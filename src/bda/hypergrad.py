@@ -194,13 +194,13 @@ def _conjugate_gradient(hess, b: np.ndarray, tol: float, max_iter: int):
         f"{np.sqrt(rs):.3e} > tol {tol:.3e}")
 
 
-def _stacked(results) -> HypergradResult:
-    """The per-row results of a row call as one: the gradients as (B, n)
-    rows and each diagnostic as a (B, ...) array."""
+def _stacked(results, x, keys) -> HypergradResult:
+    """The per-row results of a row call on x as one: the gradients as
+    (B, n) rows and each diagnostic in ``keys`` as a (B, ...) array."""
     return HypergradResult(
-        gradient=np.array([res.gradient for res in results]),
+        gradient=np.array([res.gradient for res in results]).reshape(x.shape),
         diagnostics={key: np.array([res.diagnostics[key] for res in results])
-                     for key in results[0].diagnostics})
+                     for key in keys})
 
 
 def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
@@ -223,7 +223,8 @@ def hypergrad_implicit(problem: BilevelProblem, x, y_hat,
     if x.ndim == 2:
         return _stacked([hypergrad_implicit(problem, xb, yb, cg_tol,
                                             cg_max_iter)
-                         for xb, yb in zip(x, y_hat)])
+                         for xb, yb in zip(x, y_hat)],
+                        x, ("cg_residual", "cg_iterations"))
     bvec = np.asarray(problem.grad_y_F(x, y_hat), dtype=float)
     max_iter = cg_max_iter if cg_max_iter is not None else 10 * problem.m
     q, residual, iters = _conjugate_gradient(
@@ -270,7 +271,8 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
         scheds = [sched] * len(x) if isinstance(sched, AggregationSchedule) \
             else sched
         return _stacked([hypergrad_onestage(problem, xb, yb, sb, eps)
-                         for xb, yb, sb in zip(x, y0, scheds)])
+                         for xb, yb, sb in zip(x, y0, scheds)],
+                        x, ("branch", "y1"))
     alphas, betas = sched.weights(1)
 
     s = sched.s_l

@@ -81,16 +81,14 @@ class BilevelProblem:
 
 
 def _per_row(oracle):
-    """A 1-D oracle, of (x, y) or a product of (x, y, v), that also takes
-    (B, n) / (B, m) rows, by one call per row.  Value oracles use it where a
+    """A 1-D value oracle of (x, y) that also takes (B, n) / (B, m) rows, by
+    one call per row.  The remark1 and counterexample values use it, where a
     float ** 2 (libm pow) and an array's ** 2 (a product) can round one ulp
     apart, so a vectorized value would not equal the 1-D one."""
-    def rows(x, y, v=None):
+    def rows(x, y):
         if y.ndim == 1:
-            return oracle(x, y) if v is None else oracle(x, y, v)
-        if v is None:
-            return np.array([oracle(xb, yb) for xb, yb in zip(x, y)])
-        return np.array([oracle(*point) for point in zip(x, y, v)])
+            return oracle(x, y)
+        return np.array([oracle(xb, yb) for xb, yb in zip(x, y)])
     return rows
 
 
@@ -512,25 +510,32 @@ class _Memo:
     """``fn(arg)`` remembered for the last ``_MEMO_POINTS`` arguments, so a
     backward pass reads the values its forward pass computed at each y_k.
 
-    The key is the shape and bytes of ``arg``, so a value key is never stale:
-    an argument changed in place is a miss.  The oldest entry is evicted
-    first.  Cached arrays are read-only, so no caller can alter a later hit.
+    A 3-D ``arg`` is a stack of matrices, read one at a time; the memo then
+    keeps ``_MEMO_POINTS`` per matrix of the widest stack it has read.  The
+    key is the shape and bytes of an argument, so a value key is never
+    stale: an argument changed in place is a miss.  The oldest entry is
+    evicted first.  Cached arrays are read-only, so no caller can alter a
+    later hit.
     """
 
     def __init__(self, fn):
         self._fn = fn
         self._values = {}  # insertion order is the eviction order
+        self._size = _MEMO_POINTS
         self._lock = threading.Lock()  # a problem may be shared by threads
 
     def __call__(self, arg):
         arg = np.asarray(arg, dtype=float)
+        if arg.ndim == 3:
+            self._size = max(self._size, _MEMO_POINTS * len(arg))
+            return np.stack([self(point) for point in arg])
         key = (arg.shape, arg.tobytes())
         value = self._values.get(key)
         if value is None:
             value = self._fn(arg)
             value.flags.writeable = False
             with self._lock:
-                if len(self._values) >= _MEMO_POINTS:
+                if len(self._values) >= self._size:
                     del self._values[next(iter(self._values))]
                 self._values[key] = value
         return value
@@ -538,50 +543,43 @@ class _Memo:
 
 class _SoftmaxData:
     """Pre-augmented features, one-hot labels and memoized softmax
-    probabilities ``probs(theta)`` for one split."""
+    probabilities ``probs(theta)`` for one split.  A (B, C, d+1) stack of
+    thetas takes stacked matmuls, which keep each theta's bits (a wide
+    A [theta_1' ... theta_B'] loses them at d + 1 = 51)."""
 
     def __init__(self, features: Array, labels: Array, num_classes: int):
         self.features = features
         self.labels = labels.astype(int)
         count = features.shape[0]
+        self.samples = np.arange(count)
         self.aug = np.hstack([features, np.ones((count, 1))])  # bias column
         self.onehot = np.zeros((count, num_classes))
-        self.onehot[np.arange(count), self.labels] = 1.0
+        self.onehot[self.samples, self.labels] = 1.0
         self.probs = _Memo(lambda theta: _softmax(self.logits(theta)))
 
     def logits(self, theta: Array) -> Array:
-        return self.aug @ theta.T
+        return self.aug @ theta.mT
 
     def losses(self, theta: Array) -> Array:
         z = self.logits(theta)
-        z = z - z.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(z).sum(axis=1))
-        picked = z[np.arange(z.shape[0]), self.labels]
-        return logsumexp - picked
+        z = z - z.max(axis=-1, keepdims=True)
+        logsumexp = np.log(np.exp(z).sum(axis=-1))
+        return logsumexp - z[..., self.samples, self.labels]
 
-    def grad(self, theta: Array, weights: Array) -> Array:
+    def grad(self, theta: Array, w=None) -> Array:
         """sum_i w_i grad of sample i's cross-entropy, as one product
-        (w * (P - Y))' A, flattened C*(d+1)."""
-        resid = self.probs(theta) - self.onehot          # (N, C)
-        return ((weights[:, None] * resid).T @ self.aug).ravel()
+        (w * (P - Y))' A, a (C, d+1) array per theta; ``w`` is a column of
+        weights, and None means all ones (1.0 * r is exact)."""
+        r = self.probs(theta) - self.onehot             # (N, C)
+        return (r if w is None else w * r).mT @ self.aug
 
-    def grad_dot(self, thetas: Array, vs: Array) -> Array:
-        """Per-sample <grad of sample i's cross-entropy, v_b> for each pair
-        (theta_b, v_b) of two (B, C, d+1) stacks: rowsum((P_b - Y) * (A V_b')),
-        a (B, N) array, each row with the bits of its pair alone.  Every P_b
-        comes from the memo, and the B products A V_b' from one stacked
-        matmul (a wide product A [V_1' ... V_B'] loses those bits at
-        d + 1 = 51)."""
-        resid = np.stack([self.probs(theta) for theta in thetas]) - self.onehot
-        return (resid * np.matmul(self.aug, vs.swapaxes(1, 2))).sum(axis=-1)
-
-    def hess_vec(self, theta: Array, weights: Array, v: Array) -> Array:
-        """sum_i w_i (diag(p_i) - p_i p_i') kron (u_i u_i') times v, flattened;
-        O(N C (d+1)) work, no C(d+1) x C(d+1) matrix."""
+    def hess_vec(self, theta: Array, v: Array, w=None) -> Array:
+        """sum_i w_i (diag(p_i) - p_i p_i') kron (u_i u_i') times v, shaped
+        as v, with ``w`` as in ``grad``; O(N C (d+1)) work, no dense Hessian."""
         p = self.probs(theta)                            # (N, C)
         s = self.logits(v.reshape(theta.shape))          # (N, C): u_i' v_c
-        r = p * (s - (p * s).sum(axis=1, keepdims=True))
-        return ((weights[:, None] * r).T @ self.aug).ravel()
+        r = p * (s - (p * s).sum(axis=-1, keepdims=True))
+        return ((r if w is None else w * r).mT @ self.aug).reshape(v.shape)
 
 
 def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
@@ -627,50 +625,52 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     n = cfg.n_train
     m = C * (d + 1)
 
-    def unpack(y):
-        return y.reshape(C, d + 1)
+    def unpack(y):  # a (C, d+1) theta per point
+        return y.reshape(y.shape[:-1] + (C, d + 1))
 
     ridge = cfg.ul_ridge
+    # the rows of f (a run's inner values) and of hess_yx_f (a reverse pass's
+    # x-side call) repeat x once per point: they compute their own weights
     sigmoid = _Memo(_sigmoid)
-    val_ones = np.ones(val.labels.shape[0])
 
     def F(x, y):
-        out = float(val.losses(unpack(y)).sum())
-        if ridge:
-            out += 0.5 * ridge * float(np.dot(x, x))
-        return out
+        out = val.losses(unpack(y)).sum(axis=-1)
+        return out + 0.5 * ridge * np.vecdot(x, x) if ridge else out
 
     def f(x, y):
-        return float(np.dot(sigmoid(x), train.losses(unpack(y))))
+        return np.vecdot(_sigmoid(x), train.losses(unpack(y)))
 
     def grad_x_F(x, y):
-        return ridge * np.asarray(x, dtype=float) if ridge else np.zeros(n)
+        return ridge * x if ridge else np.zeros(np.shape(x))
 
     def grad_y_F(x, y):
-        return val.grad(unpack(y), val_ones)
+        return val.grad(unpack(y)).reshape(y.shape)
 
     def grad_y_f(x, y):
-        return train.grad(unpack(y), sigmoid(x))
+        return train.grad(unpack(y), sigmoid(x)[..., None]).reshape(y.shape)
 
     def grad_x_f(x, y):
         w = sigmoid(x)
         return w * (1.0 - w) * train.losses(unpack(y))
 
     def hess_yy_F(x, y, v):
-        return val.hess_vec(unpack(y), val_ones, v)
+        return val.hess_vec(unpack(y), v)
 
     def hess_yx_F(x, y, v):
         return np.zeros(np.shape(x))
 
     def hess_yy_f(x, y, v):
-        return train.hess_vec(unpack(y), sigmoid(x), v)
+        return train.hess_vec(unpack(y), v, sigmoid(x)[..., None])
 
     def hess_yx_f(x, y, v):
-        # a point is a stack of one; rows repeat x once per kept step of a
-        # reverse pass, so their weights skip the memo
+        # w_i (1 - w_i) <grad of sample i's cross-entropy, v>; the P of the
+        # x-side rows are read one at a time, so they do not grow the memo
+        theta = unpack(y)
+        P = train.probs(theta) if theta.ndim == 2 else \
+            np.stack([train.probs(point) for point in theta])
         w = _sigmoid(x)
-        thetas, vs = (a.reshape(-1, C, d + 1) for a in (y, v))
-        return w * (1.0 - w) * train.grad_dot(thetas, vs).reshape(w.shape)
+        return w * (1.0 - w) * (
+            (P - train.onehot) * train.logits(unpack(v))).sum(axis=-1)
 
     # global smoothness bounds: each per-sample Hessian is bounded by
     # |u_i|^2 / 2 in spectral norm and the sigmoid weights sit in (0, 1)
@@ -679,17 +679,15 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     L_f = float(0.5 * train_row_sq.sum())
     L_F = float(0.5 * val_row_sq.sum())
 
-    # the other eight oracles answer rows one row at a time, each through
-    # the 1-D call and its memos
     return BilevelProblem(
         name="hyperclean", n=n, m=m,
         region_x=BoxRegion.whole_space(n),
         region_y=BoxRegion.cube(m, -100.0, 100.0),
-        F=_per_row(F), f=_per_row(f),
-        grad_x_F=_per_row(grad_x_F), grad_y_F=_per_row(grad_y_F),
-        grad_y_f=_per_row(grad_y_f), grad_x_f=_per_row(grad_x_f),
-        hess_yy_f=_per_row(hess_yy_f), hess_yx_f=hess_yx_f,
-        hess_yy_F=_per_row(hess_yy_F), hess_yx_F=hess_yx_F,
+        F=F, f=f,
+        grad_x_F=grad_x_F, grad_y_F=grad_y_F,
+        grad_y_f=grad_y_f, grad_x_f=grad_x_f,
+        hess_yy_f=hess_yy_f, hess_yx_f=hess_yx_f,
+        hess_yy_F=hess_yy_F, hess_yx_F=hess_yx_F,
         L_F=L_F, L_f=L_f, F_lower_bound=0.0,
         metadata={"config": cfg, "train": train, "val": val, "test": test,
                   "corrupted_mask": corrupted_mask},

@@ -468,6 +468,15 @@ def test_implicit_on_rows_equals_each_row_alone(n, m, rows, seed):
         assert type(alone.diagnostics["cg_residual"]) is float
 
 
+def test_implicit_on_zero_rows_is_an_empty_batch():
+    # as the reverse and forward routes: a (0, n) gradient, empty diagnostics
+    p = make_lls_quadratic(2, 3, 0)
+    res = hypergrad_implicit(p, np.zeros((0, 2)), np.zeros((0, 3)))
+    assert res.gradient.shape == (0, 2)
+    assert sorted(res.diagnostics) == ["cg_iterations", "cg_residual"]
+    assert all(v.size == 0 for v in res.diagnostics.values())
+
+
 def test_implicit_batch_with_a_non_pd_row_is_capability_error():
     # row 1's lower-level Hessian is negative definite: alone it raises,
     # and in a batch it raises for row 0, which solves alone
@@ -578,6 +587,14 @@ def test_onestage_rows_need_matching_y0_rows():
     p = make_remark1()
     with pytest.raises(ContractError, match="does not fit"):
         hypergrad_onestage(p, np.zeros((2, 1)), np.zeros(2), ONESTAGE)
+
+
+def test_onestage_on_zero_rows_is_an_empty_batch():
+    p = make_lls_quadratic(2, 3, 0)
+    res = hypergrad_onestage(p, np.zeros((0, 2)), np.zeros((0, 3)), ONESTAGE)
+    assert res.gradient.shape == (0, 2)
+    assert sorted(res.diagnostics) == ["branch", "y1"]
+    assert all(v.size == 0 for v in res.diagnostics.values())
 
 
 def test_onestage_batch_does_only_its_rows_own_work():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bda import problems
+from bda.harness import default_hyperclean_solver
 from bda.hypergrad import hypergrad_implicit, hypergrad_reverse
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import ContractError, rng_stream
+from bda.outer import solve, solve_many
 from bda.problems import (HypercleanConfig, lls_quadratic, make_counterexample,
                           make_hypercleaning, make_lls_quadratic, make_problem,
                           make_remark1, make_remark1_regularized,
@@ -644,23 +646,47 @@ def test_implicit_hypergradient_computes_two_softmaxes(softmax_calls):
     assert len(softmax_calls) == 2
 
 
+def test_hyperclean_batch_computes_no_more_softmaxes_than_its_solo_solves(
+        softmax_calls):
+    # B (K+1) = 123 points per split go through each memo, which keeps 64
+    # per row of the batch: the backward pass and its x-side row call hit
+    X = rng_stream(9).standard_normal((3, 30))
+    cfg = dataclasses.replace(default_hyperclean_solver(_hc_problem(seed=1),
+                                                        "bda"), K=40, T_max=10)
+    records = solve_many(_hc_problem(seed=1), cfg, X)
+    batch = len(softmax_calls)
+    problem = _hc_problem(seed=1)
+    solos = [solve(problem, cfg, x0=x0) for x0 in X]
+    assert batch <= len(softmax_calls) - batch
+    for record, solo in zip(records, solos):
+        assert (record.status, record.T) == (solo.status, solo.T)
+        assert record.xs.tobytes() == solo.xs.tobytes()
+        assert record.y_final.tobytes() == solo.y_final.tobytes()
+        for name, vals in solo.metrics.items():
+            assert record.metrics[name].tobytes() == vals.tobytes(), name
+
+
 @pytest.mark.parametrize("feature_dim", [2, 50])
-def test_hyperclean_hess_yx_f_rows_keep_each_rows_bits(feature_dim):
-    # the row kernel reads each row's probabilities from the memo and forms
-    # the V-logits by one stacked matmul; a wide aug @ V.reshape(B*C, d+1).T
-    # loses the per-row bits at d + 1 = 51
+def test_hyperclean_oracle_rows_keep_each_rows_bits(feature_dim):
+    # each oracle is one kernel on a point or a stack; its stacked matmuls
+    # give every row the bits of its 1-D call, where a wide
+    # aug @ V.reshape(B*C, d+1).T loses them at d + 1 = 51
     problem = make_hypercleaning(HypercleanConfig(
-        num_classes=3, feature_dim=feature_dim, n_train=57, seed=1))
+        num_classes=3, feature_dim=feature_dim, n_train=57, seed=1,
+        ul_ridge=0.5))
     rng = rng_stream(feature_dim)
     for rows in (1, 3, 40):
         X = rng.standard_normal((rows, problem.n))
         Y, V = rng.standard_normal((2, rows, problem.m))
-        out = problem.hess_yx_f(X, Y, V)
-        assert out.shape == (rows, problem.n)
-        for b in range(rows):
-            alone = problem.hess_yx_f(X[b], Y[b], V[b])
-            assert out[b].tobytes() == alone.tobytes()
-    assert problem.hess_yx_F(X, Y, V).tobytes() == np.zeros(X.shape).tobytes()
+        for name in _HC_ORACLES:
+            args = (X, Y, V) if name.startswith("hess_") else (X, Y)
+            out = getattr(problem, name)(*args)
+            assert len(out) == rows, name
+            for b in range(rows):
+                alone = np.asarray(getattr(problem, name)(*(a[b]
+                                                            for a in args)))
+                assert out[b].shape == alone.shape, name
+                assert out[b].tobytes() == alone.tobytes(), name
 
 
 def test_hyperclean_optional_ul_ridge():
