@@ -10,11 +10,12 @@ Subcommands:
 
 All trace files are written atomically and reproduce bit-for-bit under a
 fixed config and seed; wall-clock time is reported only in summary JSON.
-Suites run their jobs one after another on the calling thread.  Batches
-take their place where the runs share a problem: a ``run`` solves its seeds
-as the rows of one ``solve_many`` batch, and the counterexample suite solves
-each method's starts as one batch, and its alpha sweep as three more rows of
-bda's batch.
+The hyper-cleaning suite solves its methods in forked workers, one per CPU
+(``_run_jobs``); the parent writes every file.  Batches take the place of
+jobs where the runs share a problem: a ``run`` solves its seeds as the rows
+of one ``solve_many`` batch, and the counterexample suite solves each
+method's starts as one batch, one method after another, and its alpha sweep
+as three more rows of bda's batch.
 A ``run`` whose solve ends ``aborted`` still writes every file, then exits
 with the code its error class gets (3 capability, 4 numerical).
 """
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -258,14 +260,36 @@ def summarize_record(record: RunRecord, problem: BilevelProblem) -> dict:
     }
 
 
-# Kept as named functions only because the benchmark reads and wraps them.
+# ---------------------------------------------------------------------------
+# job queue
+# ---------------------------------------------------------------------------
+
 def _max_workers() -> int:
+    """One worker per CPU this process may run on; 1 where the platform has
+    no ``os.fork`` or ``os.sched_getaffinity``."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return 1
 
 
-def _run_jobs(jobs):
-    """Run callables one after another on the calling thread, in order."""
-    return [job() for job in jobs]
+def _run_jobs(jobs) -> list:
+    """Call every job and return the results in job order.
+
+    With two jobs or more and ``_max_workers()`` > 1, forked workers run
+    them, at most one per job, and a result comes back pickled.  Where jobs
+    fail, the lowest-index one's exception is raised here with its own class
+    and message, as the serial loop would raise it.  With one worker, or
+    from a caller with other threads (a fork copies only the calling thread,
+    so a lock another thread holds would stay held in the child), the jobs
+    run one after another on the calling thread.
+    """
+    jobs = list(jobs)
+    workers = min(len(jobs), _max_workers())
+    if workers < 2 or threading.active_count() > 1:
+        return [job() for job in jobs]
+    # imported here, so that a process that never forks never compiles it
+    from .workers import run_forked
+    return run_forked(jobs, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +407,7 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
         emit_trace(records[0], os.path.join(out, f"{method}_trace.csv"))
         return records
 
-    records = dict(zip(methods, _run_jobs([lambda m=m: run_method(m)
-                                           for m in methods])))
+    records = {method: run_method(method) for method in methods}
     summary["runs"] = {method: summarize_record(records[method][0], problem)
                        for method in methods}
     sweep_rows = [{"init": i, "method": method,
@@ -501,6 +524,14 @@ def default_hyperclean_solver(problem: BilevelProblem, method: str,
 
 
 def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
+    """Toy data hyper-cleaning: the unweighted baseline, then one solve per
+    method from the suite's defaults (``default_hyperclean_solver``).
+
+    The methods are jobs of ``_run_jobs``: forked workers, one per CPU,
+    solve them and send back each method's metrics and record, and this
+    process writes every file, so the traces have the bits of a serial run.
+    ``wall_time_s`` is each method's own solve, however many ran at once.
+    """
     methods = _method_list(methods, tuple(METHODS), "suite_hyperclean")
     problem = make_hypercleaning(cfg)
     solvers = {m: default_hyperclean_solver(problem, m, seed=cfg.seed)
@@ -521,10 +552,12 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
         metrics.update({"method": method, "wall_time_s": record.wall_time_s,
                         "status": record.status,
                         "iterations": int(len(record.metrics["phiK"]))})
-        emit_trace(record, os.path.join(out, f"{method}_trace.csv"))
-        return metrics
+        return metrics, record
 
-    results.extend(_run_jobs([lambda m=m: run_method(m) for m in methods]))
+    solved = _run_jobs([lambda m=m: run_method(m) for m in methods])
+    for method, (metrics, record) in zip(methods, solved):
+        emit_trace(record, os.path.join(out, f"{method}_trace.csv"))
+        results.append(metrics)
 
     cols = ["method", "val_acc", "test_acc", "f1",
             "mean_sigma_corrupted", "mean_sigma_clean", "wall_time_s"]

@@ -20,8 +20,8 @@ from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          suite_hyperclean, default_hyperclean_solver,
                          verify_suite, write_summary)
 from bda.inner import AggregationSchedule
-from bda.numerics import ContractError
-from bda.outer import SolverConfig, config_dict, solve
+from bda.numerics import ContractError, NumericalError
+from bda.outer import METHODS, SolverConfig, config_dict, solve
 from bda.problems import (HypercleanConfig, make_counterexample,
                           make_hypercleaning, make_lls_quadratic, make_remark1)
 
@@ -540,7 +540,9 @@ def test_cli_directory_on_trace_path_is_io_error(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["trace.csv"]   # no stray temp file
 
 
-def test_run_jobs_in_order_on_the_calling_thread():
+def test_run_jobs_in_order_on_the_calling_thread(monkeypatch):
+    # the serial path: one worker
+    monkeypatch.setattr(bda.harness, "_max_workers", lambda: 1)
     seen = []
 
     def job(i):
@@ -549,7 +551,141 @@ def test_run_jobs_in_order_on_the_calling_thread():
 
     assert _run_jobs([lambda i=i: job(i) for i in range(5)]) == [0, 1, 4, 9, 16]
     assert seen == [(i, threading.get_ident()) for i in range(5)]
-    assert _max_workers() == 1
+    assert bda.harness._max_workers() == 1
+
+
+def test_max_workers_is_the_affinity_mask():
+    assert _max_workers() == len(os.sched_getaffinity(0))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setattr(bda.harness, "_max_workers", lambda: 2)
+
+
+def test_run_jobs_runs_serially_beside_other_threads(two_workers):
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _run_jobs([os.getpid, os.getpid]) == [os.getpid()] * 2
+    finally:
+        stop.set()
+        other.join()
+
+
+def test_run_jobs_forks_and_keeps_job_order(two_workers):
+    results = _run_jobs([lambda i=i: (i * i, os.getpid()) for i in range(7)])
+    _assert_no_children()
+    assert [square for square, _ in results] == [i * i for i in range(7)]
+    pids = {pid for _, pid in results}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    # one job, or none, takes the serial path
+    assert _run_jobs([os.getpid]) == [os.getpid()]
+    assert _run_jobs([]) == []
+    # more indices than the task pipe holds are refused before any fork
+    from bda.workers import MAX_JOBS, run_forked
+    with pytest.raises(ContractError, match="at most"):
+        run_forked([os.getpid] * (MAX_JOBS + 1), 2)
+
+
+def test_run_jobs_drains_results_larger_than_a_pipe(monkeypatch):
+    # more workers than CPUs, each result 400 kB, six times a pipe's buffer
+    monkeypatch.setattr(bda.harness, "_max_workers", lambda: 4)
+    results = _run_jobs([lambda i=i: np.full(50_000, float(i))
+                         for i in range(12)])
+    _assert_no_children()
+    assert [r.shape for r in results] == [(50_000,)] * 12
+    assert [float(r[-1]) for r in results] == [float(i) for i in range(12)]
+
+
+def _fail(err):
+    raise err
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):  # a pickle round trip calls it with one
+        super().__init__(f"{a}/{b}")
+
+
+@pytest.mark.parametrize("error", [NumericalError("diverged at t=3"),
+                                   ContractError("x has shape (2,)")])
+def test_run_jobs_raises_the_lowest_failing_jobs_error(two_workers, error):
+    jobs = [lambda: 0, lambda: _fail(error),
+            lambda: _fail(RuntimeError("a later failure")), lambda: 3]
+    with pytest.raises(type(error)) as info:
+        _run_jobs(jobs)
+    _assert_no_children()
+    assert type(info.value) is type(error)
+    assert str(info.value) == str(error)
+
+
+def test_run_jobs_reports_what_cannot_travel(two_workers):
+    with pytest.raises(RuntimeError, match="^_TwoArgError: 1/2$"):
+        _run_jobs([lambda: 0, lambda: _fail(_TwoArgError(1, 2))])
+    _assert_no_children()
+    with pytest.raises(Exception, match="pickle"):
+        _run_jobs([lambda: 0, lambda: (lambda: 1)])
+    _assert_no_children()
+
+
+def test_run_jobs_names_the_status_of_a_worker_that_exits(two_workers):
+    with pytest.raises(RuntimeError, match=r"job 1 sent no result.*\[0, 7\]"):
+        _run_jobs([lambda: 0, lambda: os._exit(7), lambda: 2])
+    _assert_no_children()
+
+
+def test_run_jobs_kills_its_workers_when_interrupted(two_workers, monkeypatch):
+    import select
+    import time
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(select, "select", interrupt)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _run_jobs([lambda: time.sleep(60)] * 2)
+    _assert_no_children()
+    assert time.perf_counter() - start < 30
+
+
+def test_suite_hyperclean_forked_equals_serial(tmp_path, monkeypatch):
+    """Forked workers write the serial run's bytes and report its numbers."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    summaries = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(bda.harness, "_max_workers", lambda w=workers: w)
+        summaries[workers] = suite_hyperclean(HypercleanConfig(seed=1),
+                                              list(METHODS),
+                                              str(tmp_path / f"w{workers}"))
+        assert len(forks) == 2 * (workers - 1)  # the forked run forks twice
+    _assert_no_children()
+    names = sorted(os.listdir(tmp_path / "w1"))
+    assert names == sorted(os.listdir(tmp_path / "w2"))
+    deterministic = [name for name in names if name.endswith(".csv")
+                     and "wall_time_s" not in (tmp_path / "w1" / name)
+                     .read_text(encoding="utf-8").split("\n", 1)[0]]
+    assert sorted(deterministic) == sorted(
+        ["dataset.csv", *[f"{m}_trace.csv" for m in METHODS]])
+    for name in deterministic:
+        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name,
+                           shallow=False), name
+
+    def timeless(summary):
+        return [{k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in summary["results"]]
+
+    assert timeless(summaries[1]) == timeless(summaries[2])
+    assert [row["method"] for row in summaries[2]["results"]] == \
+        ["baseline_unweighted", *METHODS]
 
 
 def test_module_entry_point_runs_without_runpy_warning():
