@@ -210,17 +210,18 @@ def emit_inner_trace(record: RunRecord, path: str) -> None:
 def write_summary(payload: dict, path: str) -> None:
     """Write ``payload`` as strict JSON (atomically): a non-finite number,
     in an array too, is written as null, as ``_fmt`` leaves its CSV cell
-    empty."""
+    empty.  An object JSON cannot hold is a TypeError."""
     def write(fh):
         json.dump(_finite(payload), fh, indent=2, sort_keys=True,
-                  default=_json_default, allow_nan=False)
+                  allow_nan=False)
         fh.write("\n")
 
     _atomic_write(path, write)
 
 
 def _finite(obj):
-    """``obj`` with arrays as lists and each non-finite float as None."""
+    """``obj`` with arrays as lists, numpy integers as ints and each
+    non-finite float as None."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, dict):
@@ -229,15 +230,9 @@ def _finite(obj):
         return [_finite(value) for value in obj]
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
-    return obj
-
-
-def _json_default(obj):
     if isinstance(obj, np.integer):
-        return obj.item()
-    if isinstance(obj, (HypercleanConfig,)):
-        return vars(obj)
-    return str(obj)
+        return int(obj)
+    return obj
 
 
 def summarize_record(record: RunRecord, problem: BilevelProblem) -> dict:
@@ -323,11 +318,11 @@ def run_experiment(exp: ExperimentConfig) -> list[dict]:
     problem = exp.build_problem()
     x0 = np.zeros(problem.n) if exp.x0 is None else \
         as_vector(exp.x0, dim=problem.n, name="x0")
-    os.makedirs(exp.out_dir, exist_ok=True)
     full = exp.verbosity == "full"
     records = solve_many(problem, [replace(exp.solver, seed=seed)
                                    for seed in exp.seeds],
                          np.tile(x0, (len(exp.seeds), 1)), keep_inner=full)
+    os.makedirs(exp.out_dir, exist_ok=True)  # a refused config makes none
     multiple = len(exp.seeds) > 1
     summaries = []
     for seed, record in zip(exp.seeds, records):

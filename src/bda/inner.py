@@ -259,6 +259,7 @@ def inner_values(problem: BilevelProblem, x, ys) -> np.ndarray:
     points): a (2, len(ys)) array.  Several points take one row call to
     each of f and F, with x broadcast to the rows; one point the 1-D call."""
     ys = np.asarray(ys, dtype=float)
+    # one point keeps its 1-D call: as a row, solo hyperclean ran 5-16% slower
     at = (x, ys[0]) if len(ys) == 1 else \
         (np.broadcast_to(x, (len(ys), problem.n)), ys)
     vals = np.array([problem.f(*at), problem.F(*at)], dtype=float)

@@ -2,7 +2,8 @@
 
 Each factory returns a :class:`BilevelProblem` whose callables take the
 upper-level point ``x`` and the lower-level point ``y`` as 1-D float arrays,
-or as (B, n) / (B, m) arrays of stacked points answered row by row.
+or as (B, n) / (B, m) arrays of stacked points answered row by row, by the
+one kernel that answers a point.
 Second derivatives are closed-form products with a vector (no dense Hessian);
 known minimizers, value functions, and lower-level optimal values are attached
 so that metric and verification code has exact references.
@@ -39,7 +40,9 @@ class BilevelProblem:
 
     The ten oracles also take (B, n) / (B, m) arrays, one point per row, and
     answer row by row: ``F`` and ``f`` a (B,) array, the rest (B, n) or
-    (B, m).  Each row has the bits of the 1-D call on that row.
+    (B, m).  So do the four references of x: ``y_star_of_x`` a (B, m)
+    array, ``f_star_of_x`` and ``phi_star_of_x`` (B,), ``grad_phi_of_x``
+    (B, n).  Each row has the bits of the 1-D call on that row.
     """
 
     name: str
@@ -80,26 +83,17 @@ class BilevelProblem:
                 as_vector(y, dim=self.m, name="y"))
 
 
-def _per_row(oracle):
-    """A 1-D value oracle of (x, y) that also takes (B, n) / (B, m) rows, by
-    one call per row.  The remark1 and counterexample values use it, where a
-    float ** 2 (libm pow) and an array's ** 2 (a product) can round one ulp
-    apart, so a vectorized value would not equal the 1-D one."""
-    def rows(x, y):
-        if y.ndim == 1:
-            return oracle(x, y)
-        return np.array([oracle(xb, yb) for xb, yb in zip(x, y)])
-    return rows
-
-
 def matvec(M, v):
     """M v for a vector v, or for each row of a (B, k) v as a (B, .) array,
-    with M one matrix or a (B, ., k) stack of them.  Rows go through the
-    stacked matmul, which gives the bits of ``M @ v`` on each row (einsum and
-    ``v @ M.T`` do not); vectors keep ``M @ v``, which skips its reshapes."""
-    if v.ndim == 1:
-        return M @ v
+    with M one matrix or a (B, ., k) stack of them.  The stacked matmul
+    gives the bits of ``M @ v`` on a vector and on each row (einsum and
+    ``v @ M.T`` do not)."""
     return np.matmul(M, v[..., None])[..., 0]
+
+
+def _x0(x):
+    """The first coordinate of a point, or of each (B, .) row."""
+    return np.asarray(x, dtype=float)[..., 0]
 
 
 def product_rows(product: Callable[[Array], Array], m: int,
@@ -136,15 +130,14 @@ def make_counterexample(n: int, x_radius: float = 100.0,
     def split(w):
         return w[..., :n], w[..., n:]
 
-    @_per_row
     def F(x, w):
-        y, z = split(w)
-        return float(np.dot(x - z, x - z) ** 2 + np.dot(y - e, y - e) ** 2)
+        # float_power squares through libm pow, as a float's ** 2 does
+        D = halves(x, w)
+        return np.float_power(np.vecdot(D, D), 2).sum(axis=-1)
 
-    @_per_row
     def f(x, w):
         y, _ = split(w)
-        return float(0.5 * np.dot(y, y) - np.dot(x, y))
+        return 0.5 * np.vecdot(y, y) - np.vecdot(x, y)
 
     def grad_x_F(x, w):
         _, z = split(w)
@@ -194,20 +187,20 @@ def make_counterexample(n: int, x_radius: float = 100.0,
 
     def y_star_of_x(x):
         # the UL-optimal member of S(x): y = x with the free half set to x
-        x = as_vector(x, dim=n, name="x")
-        return np.concatenate([x, x])
+        x = as_vector(x, dim=n, name="x", rows=True)
+        return np.concatenate([x, x], axis=-1)
 
     def f_star_of_x(x):
-        x = as_vector(x, dim=n, name="x")
-        return float(-0.5 * np.dot(x, x))
+        x = as_vector(x, dim=n, name="x", rows=True)
+        return -0.5 * np.vecdot(x, x)
 
     def phi_star_of_x(x):
-        x = as_vector(x, dim=n, name="x")
-        return float(np.dot(x - e, x - e) ** 2)
+        d = as_vector(x, dim=n, name="x", rows=True) - e
+        return np.float_power(np.vecdot(d, d), 2)
 
     def grad_phi_of_x(x):
-        x = as_vector(x, dim=n, name="x")
-        return 4.0 * np.dot(x - e, x - e) * (x - e)
+        d = as_vector(x, dim=n, name="x", rows=True) - e
+        return 4.0 * np.vecdot(d, d, keepdims=True) * d
 
     return BilevelProblem(
         name="counterexample", n=n, m=2 * n,
@@ -235,13 +228,12 @@ def make_counterexample(n: int, x_radius: float = 100.0,
 def make_remark1() -> BilevelProblem:
     """Two-dimensional LL with a flat direction that plain descent never moves."""
 
-    @_per_row
     def F(x, y):
-        return float(0.5 * (x[0] - y[1]) ** 2 + 0.5 * (y[0] - 1.0) ** 2)
+        return (0.5 * np.float_power(x[..., 0] - y[..., 1], 2)
+                + 0.5 * np.float_power(y[..., 0] - 1.0, 2))
 
-    @_per_row
     def f(x, y):
-        return float(0.5 * y[0] ** 2 - x[0] * y[0])
+        return 0.5 * np.float_power(y[..., 0], 2) - x[..., 0] * y[..., 0]
 
     def grad_x_F(x, y):
         return x - y[..., 1:]
@@ -270,16 +262,17 @@ def make_remark1() -> BilevelProblem:
 
     def y_star_of_x(x):
         # UL-optimal member of S(x) = {(x, t) : t free}
-        return np.array([x[0], x[0]])
+        t = _x0(x)
+        return np.stack([t, t], axis=-1)
 
     def f_star_of_x(x):
-        return float(-0.5 * x[0] ** 2)
+        return -0.5 * np.float_power(_x0(x), 2)
 
     def phi_star_of_x(x):
-        return float(0.5 * (x[0] - 1.0) ** 2)
+        return 0.5 * np.float_power(_x0(x) - 1.0, 2)
 
     def grad_phi_of_x(x):
-        return np.array([x[0] - 1.0])
+        return _x0(x)[..., None] - 1.0
 
     return BilevelProblem(
         name="remark1", n=1, m=2,
@@ -317,9 +310,10 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
 
-    @_per_row
     def f(x, y):
-        return float(0.5 * y[0] ** 2 + 0.5 * epsilon * y[1] ** 2 - x[0] * y[0])
+        return (0.5 * np.float_power(y[..., 0], 2)
+                + 0.5 * epsilon * np.float_power(y[..., 1], 2)
+                - x[..., 0] * y[..., 0])
 
     def grad_y_f(x, y):
         return np.stack([y[..., 0] - x[..., 0], epsilon * y[..., 1]], axis=-1)
@@ -328,13 +322,15 @@ def make_remark1_regularized(epsilon: float) -> BilevelProblem:
         return np.stack([v[..., 0], epsilon * v[..., 1]], axis=-1)
 
     def y_star_of_x(x):
-        return np.array([x[0], 0.0])
+        t = _x0(x)
+        return np.stack([t, np.zeros_like(t)], axis=-1)
 
     def phi_star_of_x(x):
-        return float(0.5 * x[0] ** 2 + 0.5 * (x[0] - 1.0) ** 2)
+        t = _x0(x)
+        return 0.5 * np.float_power(t, 2) + 0.5 * np.float_power(t - 1.0, 2)
 
     def grad_phi_of_x(x):
-        return np.array([2.0 * x[0] - 1.0])
+        return 2.0 * _x0(x)[..., None] - 1.0
 
     # f(x, .) keeps remark1's minimum value -x^2/2, so f_star_of_x stays;
     # grad_yy f = diag(1, epsilon) has norm max(1, epsilon)
@@ -413,20 +409,20 @@ def lls_quadratic(A, B, b, rho: float = 0.0,
         return -matvec(B.T, v)
 
     def y_star_of_x(x):
-        return M @ as_vector(x, dim=n, name="x")
+        return matvec(M, as_vector(x, dim=n, name="x", rows=True))
 
     def f_star_of_x(x):
-        x = as_vector(x, dim=n, name="x")
-        return float(-0.5 * np.dot(B @ x, M @ x))
+        x = as_vector(x, dim=n, name="x", rows=True)
+        return -0.5 * np.vecdot(matvec(B, x), matvec(M, x))
 
     def phi_star_of_x(x):
-        x = as_vector(x, dim=n, name="x")
-        r = M @ x - b
-        return float(0.5 * np.dot(r, r) + 0.5 * rho * np.dot(x, x))
+        x = as_vector(x, dim=n, name="x", rows=True)
+        r = matvec(M, x) - b
+        return 0.5 * np.vecdot(r, r) + 0.5 * rho * np.vecdot(x, x)
 
     def grad_phi_of_x(x):
-        x = as_vector(x, dim=n, name="x")
-        return rho * x + M.T @ (M @ x - b)
+        x = as_vector(x, dim=n, name="x", rows=True)
+        return rho * x + matvec(M.T, matvec(M, x) - b)
 
     region_y = (BoxRegion.whole_space(m) if y_radius is None
                 else BoxRegion.cube(m, -y_radius, y_radius))

@@ -227,7 +227,7 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
     if x is not None:
         phi_x = float(problem.phi_star_of_x(as_vector(x, dim=problem.n)))
     else:
-        phi_x = _sampled_sup([problem.phi_star_of_x(xi) for xi in xs], infl)
+        phi_x = _sampled_sup(problem.phi_star_of_x(xs), infl)
 
     beta_lower = sched.beta_lower
     c_beta = sched.c_beta
@@ -448,16 +448,17 @@ def check_stationarity(problem: BilevelProblem, grid, sched: AggregationSchedule
     """Sup over the grid of |unrolled hypergradient - analytic grad phi| for
     each horizon in k_list (forward propagation over the aggregated dynamics).
 
-    The grid points are the rows of one ``hypergrad_forward`` call per
-    horizon; each row has the bits of its point run alone.  An empty grid or
-    k_list is a ContractError: a sup over nothing would pass any bound."""
+    The grid points are the rows of one ``grad_phi_of_x`` call and of one
+    ``hypergrad_forward`` call per horizon; each row has the bits of its
+    point run alone.  An empty grid or k_list is a ContractError: a sup
+    over nothing would pass any bound."""
     problem.require("grad_phi_of_x")
     points = [as_vector(x, dim=problem.n, name="x") for x in grid]
     horizons = [int(K) for K in k_list]
     if not points or not horizons:
         raise ContractError("check_stationarity: empty grid or k_list")
     X = np.array(points)
-    exact = np.array([problem.grad_phi_of_x(x) for x in points], dtype=float)
+    exact = problem.grad_phi_of_x(X)
     sup_errors = []
     for K in horizons:
         approx = hypergrad_forward(problem, X, K, sched, mode="bda").gradient

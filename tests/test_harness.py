@@ -862,13 +862,18 @@ def test_suite_counterexample_rejects_empty_or_repeated_methods(tmp_path,
     ["counterexample", "--n", "0", "--K", "2", "--methods", "bda"],
     ["counterexample", "--n", "2", "--K", "0", "--methods", "bda,rhg"],
     ["hyperclean", "--methods", "bda"],
+    ["run"],
 ])
 def test_suites_refuse_bad_input_before_creating_out(tmp_path, capsys, argv):
     # each exited 3 but left an empty output directory behind
     out = tmp_path / "out"
-    if argv[0] == "hyperclean":  # two validation samples cannot hold 3 classes
-        cfg_path = tmp_path / "hc.json"
-        cfg_path.write_text(json.dumps({"n_val": 2}), encoding="utf-8")
+    configs = {
+        "hyperclean": {"n_val": 2},  # two validation samples, three classes
+        # the default s_u = 0.1 is not below hyperclean's 1/L_F
+        "run": {"problem": "hyperclean", "method": "bda"}}
+    if argv[0] in configs:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(configs[argv[0]]), encoding="utf-8")
         argv = [*argv, "--config", str(cfg_path)]
     assert cli_main([*argv, "--out", str(out)]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
@@ -950,6 +955,11 @@ def test_summaries_are_strict_json(tmp_path):
     assert json.loads(path.read_text(encoding="utf-8"),
                       parse_constant=strict) == \
         {"a": [[1.5, None]], "b": [None, 2], "c": {"d": None, "e": 3}}
+    # an object JSON cannot hold is an error, not its str() in the file
+    with pytest.raises(TypeError):
+        write_summary({"config": HypercleanConfig(seed=1)},
+                      tmp_path / "config.json")
+    assert not (tmp_path / "config.json").exists()
 
 
 @pytest.mark.parametrize("methods", ["", "bda,bda", "ihg,obda,ihg"])

@@ -40,6 +40,7 @@ ALL_PROBLEMS = [
 
 ORACLES = ("F", "f", "grad_x_F", "grad_y_F", "grad_y_f", "grad_x_f",
            "hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")
+REFERENCES = ("y_star_of_x", "f_star_of_x", "phi_star_of_x", "grad_phi_of_x")
 
 
 def _in_rows(problem, label=None, rows=3, at=1):
@@ -185,16 +186,22 @@ ROW_PROBLEMS = {
        seed=st.integers(0, 2 ** 32 - 1))
 def test_counterexample_oracles_answer_row_by_row(kind, n, m, rows, seed):
     # each row of a call on (B, .) arrays is the 1-D call on that row, bit
-    # for bit; F and f give a (B,) array.  Every built-in problem answers so
+    # for bit; F and f give a (B,) array.  Every built-in problem answers
+    # so, and so do the references of x that it declares
     p = ROW_PROBLEMS[kind](n, m, seed)
     rng = rng_stream(seed)
     X = 2.0 * rng.standard_normal((rows, p.n))
     Y, V = 2.0 * rng.standard_normal((2, rows, p.m))
     shapes = {"F": (rows,), "f": (rows,), "grad_x_F": (rows, p.n),
               "grad_x_f": (rows, p.n), "hess_yx_f": (rows, p.n),
-              "hess_yx_F": (rows, p.n)}
-    for name in ORACLES:
-        args = (X, Y, V) if name.startswith("hess_") else (X, Y)
+              "hess_yx_F": (rows, p.n), "y_star_of_x": (rows, p.m),
+              "f_star_of_x": (rows,), "phi_star_of_x": (rows,),
+              "grad_phi_of_x": (rows, p.n)}
+    for name in (*ORACLES, *REFERENCES):
+        if getattr(p, name) is None:
+            continue
+        args = (X, Y, V) if name.startswith("hess_") else \
+            (X,) if name in REFERENCES else (X, Y)
         out = getattr(p, name)(*args)
         assert np.shape(out) == shapes.get(name, (rows, p.m)), name
         for b in range(rows):
@@ -237,10 +244,18 @@ def test_counterexample_f_independent_of_free_block():
 
 
 def _counterexample_closed_forms(n):
-    """The counterexample's y- and x-side F oracles on one point, written
-    out half by half with np.dot: the reference for the one kernel that
-    serves points and rows."""
+    """The counterexample's values and its y- and x-side F oracles on one
+    point, written out half by half with np.dot and a float's ** 2: the
+    reference for the one kernel that serves points and rows."""
     e = np.ones(n)
+
+    def F(x, w):
+        y, z = w[:n], w[n:]
+        return np.dot(x - z, x - z) ** 2 + np.dot(y - e, y - e) ** 2
+
+    def f(x, w):
+        y = w[:n]
+        return 0.5 * np.dot(y, y) - np.dot(x, y)
 
     def grad_x_F(x, w):
         d = x - w[n:]
@@ -262,13 +277,13 @@ def _counterexample_closed_forms(n):
         d, vz = x - w[n:], v[n:]
         return -8.0 * np.dot(d, vz) * d - 4.0 * np.dot(d, d) * vz
 
-    return {"grad_x_F": grad_x_F, "grad_y_F": grad_y_F,
+    return {"F": F, "f": f, "grad_x_F": grad_x_F, "grad_y_F": grad_y_F,
             "hess_yy_F": hess_yy_F, "hess_yx_F": hess_yx_F}
 
 
 @pytest.mark.parametrize("n", [1, 3, 50, 137])
 def test_counterexample_one_kernel_keeps_the_closed_forms_bits(n):
-    # one body per oracle serves a point and (B, 2n) rows alike (grad_y_F
+    # one body per oracle serves a point and (B, 2n) rows alike (F, grad_y_F
     # and hess_yy_F on one (..., 2, n) stack of both halves); each answer,
     # and each row, keeps the bits of the half-by-half np.dot closed form
     p = make_counterexample(n)
@@ -282,9 +297,19 @@ def test_counterexample_one_kernel_keeps_the_closed_forms_bits(n):
             out = getattr(p, name)(*args)
             for b in range(rows):
                 row = [a[b] for a in args]
-                expected = want(*row).tobytes()
+                expected = np.asarray(want(*row)).tobytes()
                 assert out[b].tobytes() == expected, (name, rows, b)
-                assert getattr(p, name)(*row).tobytes() == expected, (name, b)
+                alone = np.asarray(getattr(p, name)(*row))
+                assert alone.tobytes() == expected, (name, b)
+
+
+def test_float_power_squares_with_a_floats_bits():
+    # the value kernels square through np.float_power, which calls libm pow
+    # on each element as a float's ** 2 does; an array's ** 2 (a product)
+    # rounds some of these doubles one ulp apart
+    v = 10.0 ** rng_stream(0).uniform(-3.0, 3.0, 100_000)
+    expected = np.array([float(t) ** 2 for t in v])
+    np.testing.assert_array_equal(np.float_power(v, 2), expected)
 
 
 def test_counterexample_rejects_bad_dimension():
