@@ -10,12 +10,15 @@ Subcommands:
 
 All trace files are written atomically and reproduce bit-for-bit under a
 fixed config and seed; wall-clock time is reported only in summary JSON.
-The hyper-cleaning suite solves its methods in forked workers, one per CPU
-(``_run_jobs``); the parent writes every file.  Batches take the place of
-jobs where the runs share a problem: a ``run`` solves its seeds as the rows
-of one ``solve_many`` batch, and the counterexample suite solves each
-method's starts as one batch, one method after another, and its alpha sweep
-as three more rows of bda's batch.
+The suites split their work into jobs (``_run_jobs``): the parent runs the
+first job while forked workers, one per CPU, run the others, and then the
+parent writes every file.  The hyper-cleaning suite's jobs are the
+unweighted baseline and then one solve per method; the counterexample
+suite's are one batch per method and then the projection pair.  Batches
+take the place of jobs where the runs share a problem: a ``run`` solves its
+seeds as the rows of one ``solve_many`` batch, and the counterexample suite
+solves each method's starts as one batch, and its alpha sweep as three more
+rows of bda's batch.
 A ``run`` whose solve ends ``aborted`` still writes every file, then exits
 with the code its error class gets (3 capability, 4 numerical).
 """
@@ -270,21 +273,23 @@ def _max_workers() -> int:
 def _run_jobs(jobs) -> list:
     """Call every job and return the results in job order.
 
-    With two jobs or more and ``_max_workers()`` > 1, forked workers run
-    them, at most one per job, and a result comes back pickled.  Where jobs
-    fail, the lowest-index one's exception is raised here with its own class
-    and message, as the serial loop would raise it.  With one worker, or
-    from a caller with other threads (a fork copies only the calling thread,
-    so a lock another thread holds would stay held in the child), the jobs
-    run one after another on the calling thread.
+    With two jobs or more and ``_max_workers()`` > 1, the calling thread
+    runs job 0 while ``min(_max_workers(), len(jobs) - 1)`` forked workers
+    run the rest, and their results come back pickled.  Job 0 is always the
+    caller's, so what the caller does never depends on timing.  Where
+    jobs fail, the lowest-index one's exception is raised here with its own
+    class and message, as the serial loop would raise it.  With one worker,
+    or from a caller with other threads (a fork copies only the calling
+    thread, so a lock another thread holds would stay held in the child),
+    the jobs run one after another on the calling thread.
     """
     jobs = list(jobs)
-    workers = min(len(jobs), _max_workers())
-    if workers < 2 or threading.active_count() > 1:
+    cpus = _max_workers()
+    if len(jobs) < 2 or cpus < 2 or threading.active_count() > 1:
         return [job() for job in jobs]
     # imported here, so that a process that never forks never compiles it
     from .workers import run_forked
-    return run_forked(jobs, workers)
+    return run_forked(jobs, min(cpus, len(jobs) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +359,12 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
     from the origin) are three more rows of bda's batch, each under its own
     schedule.
 
+    The method batches, in method order, and then the projection pair are
+    jobs of ``_run_jobs``: this process solves the first method's batch
+    while forked workers, one per CPU, solve the rest and send back their
+    records.  This process writes every file, so the traces have the bits
+    of a serial run.
+
     The quartic upper objective tolerates a larger step under the aggregated
     dynamics than under plain unrolling, so the plain-unrolling methods run
     at 0.3 * lam.
@@ -398,11 +409,27 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
         if method == "bda":  # the alpha sweep's rows, from the origin
             cfgs = cfgs + alpha_cfgs
             X0 = np.vstack([starts, np.zeros((len(alpha_cfgs), n))])
-        records = solve_many(problem, cfgs, X0)
-        emit_trace(records[0], os.path.join(out, f"{method}_trace.csv"))
-        return records
+        return solve_many(problem, cfgs, X0)
 
-    records = {method: run_method(method) for method in methods}
+    # projection on/off: start the LL outside a tight box.  Runs at a
+    # reduced dimension so the unprojected quartic dynamics stay inside
+    # their stability basin and both runs actually converge.
+    def run_projection_pair():
+        n_proj = min(n, 6)
+        far = np.concatenate([2.5 * np.ones(n_proj), np.zeros(n_proj)])
+        return {label: solve(make_counterexample(n_proj, y_radius=radius),
+                             cfg_for("bda", stop_tol=1e-8), y0=far)
+                for label, radius in (("with_projection", 1.5),
+                                      ("without_projection", 1e6))}
+
+    jobs = [lambda m=m: run_method(m) for m in methods]
+    if "bda" in methods:
+        jobs.append(run_projection_pair)
+    solved = _run_jobs(jobs)
+    records = dict(zip(methods, solved))
+    for method in methods:
+        emit_trace(records[method][0],
+                   os.path.join(out, f"{method}_trace.csv"))
     summary["runs"] = {method: summarize_record(records[method][0], problem)
                        for method in methods}
     sweep_rows = [{"init": i, "method": method,
@@ -416,18 +443,9 @@ def suite_counterexample(n: int, K: int, methods, out: str, seed: int = 0,
                  row["status"]] for row in sweep_rows))
     summary["init_sweep"] = sweep_rows
 
-    # projection on/off: start the LL outside a tight box.  Runs at a
-    # reduced dimension so the unprojected quartic dynamics stay inside
-    # their stability basin and both runs actually converge.
     if "bda" in methods:
-        n_proj = min(n, 6)
-        far = np.concatenate([2.5 * np.ones(n_proj), np.zeros(n_proj)])
         proj_results = {}
-        for label, prob in (("with_projection",
-                             make_counterexample(n_proj, y_radius=1.5)),
-                            ("without_projection",
-                             make_counterexample(n_proj, y_radius=1e6))):
-            record = solve(prob, cfg_for("bda", stop_tol=1e-8), y0=far)
+        for label, record in solved[-1].items():
             emit_trace(record, os.path.join(out, f"proj_{label}_trace.csv"))
             proj_results[label] = {
                 "iterations": int(len(record.metrics["phiK"])),
@@ -522,8 +540,9 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
     """Toy data hyper-cleaning: the unweighted baseline, then one solve per
     method from the suite's defaults (``default_hyperclean_solver``).
 
-    The methods are jobs of ``_run_jobs``: forked workers, one per CPU,
-    solve them and send back each method's metrics and record, and this
+    The baseline and then the methods are jobs of ``_run_jobs``: this
+    process computes the baseline while forked workers, one per CPU, solve
+    the methods and send back each method's metrics and record.  This
     process writes every file, so the traces have the bits of a serial run.
     ``wall_time_s`` is each method's own solve, however many ran at once.
     """
@@ -539,7 +558,6 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
                hyperclean_dataset_rows(problem))
 
     base_sched = default_hyperclean_solver(problem, "bda").sched
-    results = [hyperclean_baseline(problem, K=40, sched=base_sched)]
 
     def run_method(method):
         record = solve(problem, solvers[method])
@@ -549,7 +567,10 @@ def suite_hyperclean(cfg: HypercleanConfig, methods, out: str) -> dict:
                         "iterations": int(len(record.metrics["phiK"]))})
         return metrics, record
 
-    solved = _run_jobs([lambda m=m: run_method(m) for m in methods])
+    baseline, *solved = _run_jobs(
+        [lambda: hyperclean_baseline(problem, K=40, sched=base_sched),
+         *(lambda m=m: run_method(m) for m in methods)])
+    results = [baseline]
     for method, (metrics, record) in zip(methods, solved):
         emit_trace(record, os.path.join(out, f"{method}_trace.csv"))
         results.append(metrics)

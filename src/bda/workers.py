@@ -1,10 +1,11 @@
 """Forked workers for the suites' jobs (``harness._run_jobs``).
 
-The parent writes every job's index to one task pipe and closes it, then
-forks.  Each child takes indices from the pipe until it is empty, runs those
-jobs, and writes one ``(index, ok, result or exception)`` pickle per job to
-its own result pipe.  The parent reads every result pipe to its end, reaps
-the children, and unpickles.  A child leaves by ``os._exit``, so none of the
+The parent writes the index of every job but the first to one task pipe and
+closes it, then forks, then runs job 0 itself.  Each child takes indices from
+the pipe until it is empty, runs those jobs, and then writes one ``(index,
+ok, result or exception)`` pickle per job to its own result pipe.  Once job
+0 returns, the parent reads every result pipe to its end, reaps the
+children, and unpickles.  A child leaves by ``os._exit``, so none of the
 parent's code runs twice.
 """
 from __future__ import annotations
@@ -25,16 +26,24 @@ MAX_JOBS = 65536 // _INDEX_BYTES
 
 
 def run_forked(jobs: list, workers: int) -> list:
-    """Call every job in one of ``workers`` forked children and return the
-    results in job order.  Where jobs fail, the lowest-index one's exception
-    is raised.  Every child is killed and reaped before this returns or
-    raises, interrupted too."""
+    """Call job 0 in this process and every other job in one of ``workers``
+    forked children, and return the results in job order.
+
+    Job 0 is always the caller's, so what this process does depends on the
+    job list alone and never on timing, and job 0's result is never
+    pickled.  Where jobs fail, the lowest-index one's exception is raised;
+    job 0's is raised as soon as it fails.  Every child is killed and reaped
+    before this returns or raises, interrupted too.  Results are read only
+    after job 0 returns, so a child whose results outgrow its pipe's 64 KiB
+    waits until then; it writes them only once the task pipe is empty, so
+    no job waits with it.
+    """
     if len(jobs) > MAX_JOBS:
         raise ContractError(f"run_forked takes at most {MAX_JOBS} jobs, "
                             f"got {len(jobs)}")
     tasks, feed = os.pipe()
     os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little")
-                            for i in range(len(jobs))))
+                            for i in range(1, len(jobs))))
     os.close(feed)
     # what the parent buffered is written once, not once more per child
     sys.stdout.flush()
@@ -52,6 +61,7 @@ def run_forked(jobs: list, workers: int) -> list:
                 pids.append(pid)
             finally:
                 os.close(write_end)
+        first = jobs[0]()
         while pending:
             for fd in select.select(list(pending), [], [])[0]:
                 chunk = os.read(fd, 1 << 16)
@@ -72,7 +82,7 @@ def run_forked(jobs: list, workers: int) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    results, errors = {}, {}
+    results, errors = {0: first}, {}
     for data in streams:
         stream = io.BytesIO(data)
         try:  # a worker killed while writing leaves a truncated pickle
@@ -95,15 +105,16 @@ def _worker(jobs: list, tasks: int, out: int) -> None:
     returns."""
     status = 1
     try:
+        messages = []
+        while index := os.read(tasks, _INDEX_BYTES):
+            index = int.from_bytes(index, "little")
+            try:
+                messages.append(pickle.dumps((index, True, jobs[index]())))
+            except BaseException as err:
+                messages.append(pickle.dumps((index, False, _portable(err))))
+        # written once no job is left, so a full pipe holds none back
         with os.fdopen(out, "wb") as fh:
-            while index := os.read(tasks, _INDEX_BYTES):
-                index = int.from_bytes(index, "little")
-                try:
-                    message = pickle.dumps((index, True, jobs[index]()))
-                except BaseException as err:
-                    message = pickle.dumps((index, False, _portable(err)))
-                fh.write(message)
-                fh.flush()
+            fh.writelines(messages)
         status = 0
     finally:
         try:

@@ -563,6 +563,14 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _timeless(obj):
+    if isinstance(obj, dict):
+        return {k: _timeless(v) for k, v in obj.items() if k != "wall_time_s"}
+    if isinstance(obj, list):
+        return [_timeless(v) for v in obj]
+    return obj
+
+
 @pytest.fixture
 def two_workers(monkeypatch):
     monkeypatch.setattr(bda.harness, "_max_workers", lambda: 2)
@@ -583,8 +591,10 @@ def test_run_jobs_forks_and_keeps_job_order(two_workers):
     results = _run_jobs([lambda i=i: (i * i, os.getpid()) for i in range(7)])
     _assert_no_children()
     assert [square for square, _ in results] == [i * i for i in range(7)]
-    pids = {pid for _, pid in results}
-    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    # job 0 runs in the caller, the others in at most two workers
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    assert os.getpid() not in pids[1:] and 1 <= len(set(pids[1:])) <= 2
     # one job, or none, takes the serial path
     assert _run_jobs([os.getpid]) == [os.getpid()]
     assert _run_jobs([]) == []
@@ -640,19 +650,47 @@ def test_run_jobs_names_the_status_of_a_worker_that_exits(two_workers):
     _assert_no_children()
 
 
-def test_run_jobs_kills_its_workers_when_interrupted(two_workers, monkeypatch):
-    import select
+def test_run_jobs_kills_its_workers_when_interrupted(two_workers):
     import time
 
-    def interrupt(*args):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(select, "select", interrupt)
+    # job 0, in the caller, is interrupted while a worker sleeps in job 1
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        _run_jobs([lambda: time.sleep(60)] * 2)
+        _run_jobs([lambda: time.sleep(0.2) or _fail(KeyboardInterrupt()),
+                   lambda: time.sleep(60)])
     _assert_no_children()
     assert time.perf_counter() - start < 30
+
+
+def test_worker_takes_its_next_job_before_sending_a_large_result(tmp_path):
+    # while the caller runs job 0, a result beyond a pipe's 64 KiB must not
+    # hold back the worker's next job
+    import time
+    from bda.workers import run_forked
+    marker = tmp_path / "job2"
+
+    def wait_for_job_2():
+        deadline = time.monotonic() + 10
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return marker.exists()
+
+    results = run_forked([wait_for_job_2, lambda: np.zeros(50_000),
+                          marker.touch], 1)
+    _assert_no_children()
+    assert results[0] is True and results[1].shape == (50_000,)
+
+
+def test_run_jobs_raises_job_0s_error_without_waiting_for_workers(
+        two_workers):
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="^diverged at t=0$"):
+        _run_jobs([lambda: _fail(NumericalError("diverged at t=0")),
+                   lambda: time.sleep(60)])
+    _assert_no_children()
+    assert time.perf_counter() - start < 5
 
 
 def test_suite_hyperclean_forked_equals_serial(tmp_path, monkeypatch):
@@ -678,12 +716,7 @@ def test_suite_hyperclean_forked_equals_serial(tmp_path, monkeypatch):
     for name in deterministic:
         assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name,
                            shallow=False), name
-
-    def timeless(summary):
-        return [{k: v for k, v in row.items() if k != "wall_time_s"}
-                for row in summary["results"]]
-
-    assert timeless(summaries[1]) == timeless(summaries[2])
+    assert _timeless(summaries[1]) == _timeless(summaries[2])
     assert [row["method"] for row in summaries[2]["results"]] == \
         ["baseline_unweighted", *METHODS]
 
@@ -815,6 +848,8 @@ def test_suite_counterexample_alpha_sweep_rows_equal_solo_solves(
         return solve_many(problem, cfgs, X0, *args, **kwargs)
 
     monkeypatch.setattr(bda.harness, "solve_many", recording)
+    # a forked worker's calls would not reach the recorder
+    monkeypatch.setattr(bda.harness, "_max_workers", lambda: 1)
     summary = suite_counterexample(3, 5, ["bda", "rhg"], str(out),
                                    T_max=30, num_inits=2)
     (cfgs, X0), _ = built
@@ -825,6 +860,30 @@ def test_suite_counterexample_alpha_sweep_rows_equal_solo_solves(
         assert filecmp.cmp(out / f"{label}_trace.csv", tmp_path / "solo.csv",
                            shallow=False), label
     assert [c.sched.alpha_scale for c in cfgs[3:]] == [0.0, 0.5, 0.5]
+
+
+def test_suite_counterexample_forked_equals_serial(tmp_path, monkeypatch):
+    """Forked workers write the serial run's bytes and report its numbers."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    summaries = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(bda.harness, "_max_workers", lambda w=workers: w)
+        summaries[workers] = suite_counterexample(
+            3, 5, ["bda", "rhg", "trhg"], str(tmp_path / f"w{workers}"),
+            T_max=30, num_inits=2)
+        assert len(forks) == 2 * (workers - 1)  # the forked run forks twice
+    _assert_no_children()
+    names = sorted(os.listdir(tmp_path / "w1"))
+    assert names == sorted(os.listdir(tmp_path / "w2"))
+    csvs = [name for name in names if name.endswith(".csv")]
+    assert len(csvs) == 9
+    for name in csvs:
+        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name,
+                           shallow=False), name
+    assert _timeless(summaries[1]) == _timeless(summaries[2])
+    assert summaries[2]["runs"]["rhg"]["wall_time_s"] > 0
 
 
 @pytest.mark.parametrize("num_inits", [-1, 1.5, True, "2"])
