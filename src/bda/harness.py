@@ -94,7 +94,9 @@ def load_config(path: str) -> ExperimentConfig:
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        raw = dict(raw)  # each key is popped as it is read; leftovers are unknown
+        if type(raw) is not dict:
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        # each key is popped as it is read; leftovers are unknown
         sched = AggregationSchedule(
             **_pop_fields(raw, SCHED_KEYS, AggregationSchedule))
         solver = SolverConfig(sched=sched,
@@ -121,9 +123,13 @@ def load_config(path: str) -> ExperimentConfig:
         verbosity = raw.pop("verbosity", "summary")
         if verbosity not in ("summary", "full"):
             raise ConfigError(f"verbosity {verbosity!r} is not summary or full")
+        params = raw.pop("problem_params", {})
+        if type(params) is not dict:
+            raise ConfigError(f"problem_params must be a JSON object, got "
+                              f"{params!r}")
         exp = ExperimentConfig(
-            problem_name=raw.pop("problem"),
-            problem_params=dict(raw.pop("problem_params", {})),
+            problem_name=typed_value("problem", raw.pop("problem"), str),
+            problem_params=params,
             solver=solver,
             out_dir=typed_value("out", raw.pop("out", "."), str),
             verbosity=verbosity,

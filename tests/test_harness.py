@@ -26,23 +26,38 @@ from bda.problems import (HypercleanConfig, make_counterexample,
                           make_hypercleaning, make_lls_quadratic, make_remark1)
 
 
+_RUN_CONFIG = {
+    "problem": "remark1",
+    "problem_params": {},
+    "method": "rhg",
+    "K": 10,
+    "lambda": 0.5,
+    "mu": 0.1, "su": 0.1, "sl": 0.1,
+    "alpha_rule": "harmonic",
+    "T_max": 40,
+    "stop_tol": 1e-10,
+    "seed": 0,
+}
+
+
 def _write_config(path, **overrides):
-    cfg = {
-        "problem": "remark1",
-        "problem_params": {},
-        "method": "rhg",
-        "K": 10,
-        "lambda": 0.5,
-        "mu": 0.1, "su": 0.1, "sl": 0.1,
-        "alpha_rule": "harmonic",
-        "T_max": 40,
-        "stop_tol": 1e-10,
-        "seed": 0,
-    }
-    cfg.update(overrides)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh)
+        json.dump({**_RUN_CONFIG, **overrides}, fh)
     return path
+
+
+def _python(*args, one_cpu=False):
+    """``python *args`` in a child process that imports this checkout's
+    ``bda``.  With ``one_cpu`` the child is pinned to one CPU before it
+    execs, so the pin holds before numpy loads, as under ``taskset -c 0``;
+    the calling process keeps its own affinity."""
+    import bda
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bda.__file__)))
+    cpu = {min(os.sched_getaffinity(0))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        preexec_fn=(lambda: os.sched_setaffinity(0, cpu)) if one_cpu else None)
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +152,80 @@ def test_inner_trace_needs_kept_rows(tmp_path):
     assert not os.path.exists(path)
 
 
-def test_traces_byte_identical_across_two_processes(tmp_path):
-    import bda
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bda.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+_SEEDS = {"K": 5, "T_max": 20, "repeats": 2, "verbosity": "full"}
+_LLS = {"problem": "lls_quadratic",
+        "problem_params": {"n": 3, "m": 4, "seed": 0}}
+_HC_RUN = {"problem": "hyperclean", "method": "bda", "T_max": 5,
+           "su": 0.001, "sl": 0.001}
+_RERUN = (False, False)
+
+
+@pytest.mark.parametrize("argv,config,pins,files", [
     # no lambda, so the seeded default-step probes run as well
-    cfg = _write_config(str(tmp_path / "cfg.json"), method="bda", T_max=15,
-                        verbosity="full", **{"lambda": None})
-    outs = [str(tmp_path / f"out{i}") for i in (0, 1)]
-    for out in outs:
-        done = subprocess.run(
-            [sys.executable, "-m", "bda.harness", "run", "--config", cfg,
-             "--out", out], capture_output=True, text=True, env=env,
-            timeout=120)
+    pytest.param(["run"], {**_RUN_CONFIG, "method": "bda", "T_max": 15,
+                           "verbosity": "full", "lambda": None},
+                 _RERUN, ["trace.csv", "inner_trace.csv"], id="run-remark1"),
+    pytest.param(["verify", "--suite", "all"], None, _RERUN,
+                 ["verify_all.json"], id="verify-all"),
+    pytest.param(["run"], {**_LLS, "method": "bda", **_SEEDS}, _RERUN,
+                 ["*.csv"], id="run-lls-bda-seeds"),
+    pytest.param(["run"], {"problem": "remark1", "method": "bda", **_SEEDS},
+                 _RERUN, ["*.csv"], id="run-remark1-bda-seeds"),
+    pytest.param(["run"], {**_LLS, "method": "ihg", **_SEEDS}, _RERUN,
+                 ["*.csv"], id="run-lls-ihg-seeds"),
+    pytest.param(["run"], {"problem": "remark1", "method": "obda", **_SEEDS,
+                           "K": 1}, _RERUN, ["*.csv"],
+                 id="run-remark1-obda-seeds"),
+    pytest.param(["run"], {**_HC_RUN, "K": 5, "seeds": [0, 1]}, _RERUN,
+                 ["*.csv"], id="run-hyperclean-seeds"),
+    pytest.param(["run"], {**_HC_RUN, "K": 40, "seeds": [0, 1, 2]}, _RERUN,
+                 ["*.csv"], id="run-hyperclean-batch"),
+    pytest.param(["hyperclean", "--methods", "bda,rhg,trhg"],
+                 {"seed": 1, "n_train": 20, "n_val": 20, "n_test": 20},
+                 _RERUN, ["*_trace.csv", "dataset.csv"],
+                 id="hyperclean-reverse"),
+    pytest.param(["hyperclean", "--methods", "bda,ihg"], {"seed": 1},
+                 (False, True), ["*_trace.csv", "dataset.csv"],
+                 id="hyperclean-one-cpu"),
+    pytest.param(["counterexample", "--n", "3", "--K", "5", "--methods",
+                  "bda,rhg,trhg", "--T-max", "5"], None, (False, False, True),
+                 ["*.csv"], id="counterexample-one-cpu"),
+])
+def test_traces_byte_identical_across_two_processes(tmp_path, argv, config,
+                                                    pins, files):
+    """Each run of a CLI call in its own process writes the first run's bytes.
+
+    A case is the call's arguments, its ``--config`` (None for none), one
+    flag per run that says whether the run is pinned to one CPU, and the
+    patterns of the files compared.  A pinned suite takes the serial path
+    (`test_one_cpu_child_takes_the_serial_path`), so a pinned run compares
+    the forked workers' files with a serial run's.  On a 1-CPU host every
+    run is serial, and such a case shows only that a rerun repeats."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    outs = [tmp_path / f"out{i}" for i in range(len(pins))]
+    for out, one_cpu in zip(outs, pins):
+        done = _python("-m", "bda.harness", *argv, "--out", str(out),
+                       one_cpu=one_cpu)
         assert done.returncode == EXIT_OK, done.stderr
-    for name in ("trace.csv", "inner_trace.csv"):
-        first, second = (os.path.join(out, name) for out in outs)
-        assert os.path.getsize(first) > 0
-        assert filecmp.cmp(first, second, shallow=False), name
+    for pattern in files:
+        names = sorted(path.name for path in outs[0].glob(pattern))
+        assert names, pattern
+        assert all((outs[0] / name).stat().st_size for name in names)
+        for out in outs[1:]:
+            assert sorted(path.name for path in out.glob(pattern)) == names
+            for name in names:
+                assert filecmp.cmp(outs[0] / name, out / name,
+                                   shallow=False), (out.name, name)
+
+
+def test_one_cpu_child_takes_the_serial_path():
+    # a pin that failed to hold would compare two forked runs above
+    done = _python("-c", "import bda.harness; "
+                   "print(bda.harness._max_workers())", one_cpu=True)
+    assert done.stdout.strip() == "1", done.stderr
 
 
 def test_inner_trace_written_without_rerunning_inner(tmp_path, monkeypatch):
@@ -515,10 +586,14 @@ def test_readme_example_config_loads(tmp_path):
 
 
 def test_cli_bad_json_is_config_error(tmp_path):
-    path = str(tmp_path / "broken.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    assert cli_main(["run", "--config", path]) == EXIT_CONFIG
+    path = tmp_path / "broken.json"
+    path.write_text("{not json", encoding="utf-8")
+    assert cli_main(["run", "--config", str(path)]) == EXIT_CONFIG
+    # dict() read a list of pairs, or failed with its own message
+    for text in ('[["problem", "remark1"]]', "[1]", '"remark1"'):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(str(path))
 
 
 def test_cli_out_under_regular_file_is_io_error(tmp_path, capsys):
@@ -722,17 +797,11 @@ def test_suite_hyperclean_forked_equals_serial(tmp_path, monkeypatch):
 
 
 def test_module_entry_point_runs_without_runpy_warning():
-    import bda
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bda.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bda.harness",
-         "--help"], capture_output=True, text=True, env=env, timeout=60)
+    done = _python("-W", "error::RuntimeWarning", "-m", "bda.harness",
+                   "--help")
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
-    done = subprocess.run(
-        [sys.executable, "-c", "import bda; print(bda.harness.EXIT_IO)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    done = _python("-c", "import bda; print(bda.harness.EXIT_IO)")
     assert done.stdout.strip() == str(EXIT_IO), done.stderr
 
 
@@ -753,11 +822,12 @@ def test_cli_gradcheck(capsys):
 
 def test_cli_gradcheck_problem_params(capsys):
     from bda.verify import TOLERANCES
-    code = cli_main(["gradcheck", "--problem", "counterexample", "--params",
-                     '{"n": 3}', "--method", "bda", "--K", "10"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert float(out.strip().rsplit(" ", 1)[-1]) <= TOLERANCES.fd_rel_tol
+    for horizon in (["--K", "10"], []):   # [] takes the default K = 20
+        code = cli_main(["gradcheck", "--problem", "counterexample",
+                         "--params", '{"n": 3}', "--method", "bda", *horizon])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert float(out.strip().rsplit(" ", 1)[-1]) <= TOLERANCES.fd_rel_tol
     for params in ("{n: 3", "[3]", '{"size": 3}'):
         code = cli_main(["gradcheck", "--problem", "counterexample",
                          "--params", params, "--method", "bda"])
@@ -920,20 +990,26 @@ def test_suite_counterexample_rejects_empty_or_repeated_methods(tmp_path,
 @pytest.mark.parametrize("argv", [
     ["counterexample", "--n", "0", "--K", "2", "--methods", "bda"],
     ["counterexample", "--n", "2", "--K", "0", "--methods", "bda,rhg"],
-    ["hyperclean", "--methods", "bda"],
-    ["run"],
+    # two validation samples, three classes
+    ["hyperclean", "--methods", "bda", "--config", {"n_val": 2}],
+    # the default s_u = 0.1 is not below hyperclean's 1/L_F
+    ["run", "--config", {"problem": "hyperclean", "method": "bda"}],
+    # a list died in make_problem with a TypeError, exit 1
+    ["run", "--config", {"problem": ["remark1"]}],
+    # dict() took a list of pairs and ran the counterexample at n = 2
+    ["run", "--config", {"problem": "counterexample",
+                         "problem_params": [["n", 2]]}],
+    ["run", "--config", {"problem": "remark1", "problem_params": []}],
+    ["run", "--config", [["problem", "remark1"]]],
 ])
 def test_suites_refuse_bad_input_before_creating_out(tmp_path, capsys, argv):
     # each exited 3 but left an empty output directory behind
     out = tmp_path / "out"
-    configs = {
-        "hyperclean": {"n_val": 2},  # two validation samples, three classes
-        # the default s_u = 0.1 is not below hyperclean's 1/L_F
-        "run": {"problem": "hyperclean", "method": "bda"}}
-    if argv[0] in configs:
+    argv = list(argv)
+    if not isinstance(argv[-1], str):   # a --config given as its JSON data
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(configs[argv[0]]), encoding="utf-8")
-        argv = [*argv, "--config", str(cfg_path)]
+        cfg_path.write_text(json.dumps(argv[-1]), encoding="utf-8")
+        argv[-1] = str(cfg_path)
     assert cli_main([*argv, "--out", str(out)]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
@@ -1001,13 +1077,14 @@ def test_summaries_are_strict_json(tmp_path):
     cfg_path.write_text(json.dumps({"corruption_fraction": 0.0, "seed": 1,
                                     "n_train": 10, "n_val": 10,
                                     "n_test": 10}), encoding="utf-8")
-    out = tmp_path / "hc"
-    assert cli_main(["hyperclean", "--config", str(cfg_path), "--methods",
-                     "ihg", "--out", str(out)]) == EXIT_OK
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
-                         parse_constant=strict)
-    assert [row["mean_sigma_corrupted"] for row in summary["results"]] == \
-        [None, None]
+    for methods in ("ihg", "ihg,obda"):
+        out = tmp_path / methods
+        assert cli_main(["hyperclean", "--config", str(cfg_path), "--methods",
+                         methods, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text(
+            encoding="utf-8"), parse_constant=strict)
+        assert [row["mean_sigma_corrupted"] for row in summary["results"]] \
+            == [None] * (1 + len(methods.split(",")))  # and the baseline
     path = tmp_path / "summary.json"
     write_summary({"a": np.array([[1.5, np.nan]]), "b": (np.inf, 2),
                    "c": {"d": np.float32(-np.inf), "e": np.int64(3)}}, path)
