@@ -270,8 +270,9 @@ def summarize_record(record: RunRecord, problem: BilevelProblem) -> dict:
 
 def _max_workers() -> int:
     """One worker per CPU this process may run on; 1 where the platform has
-    no ``os.fork`` or ``os.sched_getaffinity``."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    no ``os.fork``, ``os.sched_getaffinity`` or ``os.memfd_create``."""
+    if all(hasattr(os, name) for name in
+           ("fork", "sched_getaffinity", "memfd_create")):
         return len(os.sched_getaffinity(0))
     return 1
 
@@ -281,13 +282,14 @@ def _run_jobs(jobs) -> list:
 
     With two jobs or more and ``_max_workers()`` > 1, the calling thread
     runs job 0 while ``min(_max_workers(), len(jobs) - 1)`` forked workers
-    run the rest, and their results come back pickled.  Job 0 is always the
-    caller's, so what the caller does never depends on timing.  Where
-    jobs fail, the lowest-index one's exception is raised here with its own
-    class and message, as the serial loop would raise it.  With one worker,
-    or from a caller with other threads (a fork copies only the calling
-    thread, so a lock another thread holds would stay held in the child),
-    the jobs run one after another on the calling thread.
+    run the rest, and their results come back pickled in anonymous memory
+    files.  Job 0 is always the caller's, so what the caller does never
+    depends on timing.  Where jobs fail, the lowest-index one's exception is
+    raised here with its own class and message, as the serial loop would
+    raise it.  With one worker, or from a caller with other threads (a fork
+    copies only the calling thread, so a lock another thread holds would
+    stay held in the child), the jobs run one after another on the calling
+    thread.
     """
     jobs = list(jobs)
     cpus = _max_workers()

@@ -713,11 +713,20 @@ _FACTORIES = {
 }
 
 
+# the JSON type each factory parameter takes; hyperclean's own parameters
+# are checked by HypercleanConfig
+_PARAM_KINDS = {"n": int, "m": int, "seed": int,
+                "x_radius": float, "y_radius": float}
+
+
 def make_problem(name: str, **params) -> BilevelProblem:
     """Factory lookup used by the CLI config loader."""
     if name not in _FACTORIES:
         raise ContractError(f"unknown problem '{name}'; "
                             f"available: {sorted(_FACTORIES)}")
+    params = {key: typed_value(f"{name}: {key}", value, _PARAM_KINDS[key])
+              if key in _PARAM_KINDS else value
+              for key, value in params.items()}
     try:
         return _FACTORIES[name](**params)
     except TypeError as err:

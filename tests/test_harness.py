@@ -629,8 +629,14 @@ def test_run_jobs_in_order_on_the_calling_thread(monkeypatch):
     assert bda.harness._max_workers() == 1
 
 
-def test_max_workers_is_the_affinity_mask():
-    assert _max_workers() == len(os.sched_getaffinity(0))
+@pytest.mark.parametrize("missing", [None, "fork", "sched_getaffinity",
+                                     "memfd_create"])
+def test_max_workers_is_the_affinity_mask(monkeypatch, missing):
+    cpus = len(os.sched_getaffinity(0))
+    if missing:  # a platform without it keeps the serial path
+        monkeypatch.delattr(os, missing)
+        cpus = 1
+    assert _max_workers() == cpus
 
 
 def _assert_no_children():
@@ -722,6 +728,11 @@ def test_run_jobs_reports_what_cannot_travel(two_workers):
 def test_run_jobs_names_the_status_of_a_worker_that_exits(two_workers):
     with pytest.raises(RuntimeError, match=r"job 1 sent no result.*\[0, 7\]"):
         _run_jobs([lambda: 0, lambda: os._exit(7), lambda: 2])
+    _assert_no_children()
+    # job 1's result was written before job 2 ended its worker
+    from bda.workers import run_forked
+    with pytest.raises(RuntimeError, match=r"job 2 sent no result.*\[7\]"):
+        run_forked([lambda: 0, lambda: 1, lambda: os._exit(7)], 1)
     _assert_no_children()
 
 
@@ -828,7 +839,8 @@ def test_cli_gradcheck_problem_params(capsys):
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert float(out.strip().rsplit(" ", 1)[-1]) <= TOLERANCES.fd_rel_tol
-    for params in ("{n: 3", "[3]", '{"size": 3}'):
+    for params in ("{n: 3", "[3]", '{"size": 3}',
+                   '{"n": 2, "y_radius": true}'):
         code = cli_main(["gradcheck", "--problem", "counterexample",
                          "--params", params, "--method", "bda"])
         assert code == EXIT_CONFIG, params
@@ -1001,6 +1013,15 @@ def test_suite_counterexample_rejects_empty_or_repeated_methods(tmp_path,
                          "problem_params": [["n", 2]]}],
     ["run", "--config", {"problem": "remark1", "problem_params": []}],
     ["run", "--config", [["problem", "remark1"]]],
+    # each ran: a radius true as 1, 1e400 as inf, seed 1.5 as 1, false as 0
+    ["run", "--config", {"problem": "counterexample",
+                         "problem_params": {"n": 2, "y_radius": True}}],
+    ["run", "--config", {"problem": "counterexample",
+                         "problem_params": {"n": 2, "x_radius": 1e400}}],
+    ["run", "--config", {"problem": "lls_quadratic",
+                         "problem_params": {"n": 2, "m": 3, "seed": 1.5}}],
+    ["run", "--config", {"problem": "lls_quadratic",
+                         "problem_params": {"n": 2, "m": 3, "seed": False}}],
 ])
 def test_suites_refuse_bad_input_before_creating_out(tmp_path, capsys, argv):
     # each exited 3 but left an empty output directory behind
