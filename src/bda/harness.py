@@ -24,7 +24,6 @@ with the code its error class gets (3 capability, 4 numerical).
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -704,6 +703,7 @@ def gradcheck(problem_name: str, method: str, K: int = 20,
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse     # only the CLI pays for argparse and gettext
     parser = argparse.ArgumentParser(prog="bda",
                                      description="bi-level solver harness")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -74,7 +74,8 @@ class SolverConfig:
                  or 0 <= self.truncate_at <= self.K, "in [0, K]"),
                 ("lam", self.lam is None or 0 < self.lam < np.inf,
                  "positive and finite"),
-                ("stop_tol", np.isfinite(self.stop_tol), "finite"),
+                ("stop_tol", 0 <= self.stop_tol < np.inf,
+                 "non-negative and finite"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("cg_tol", 0 < self.cg_tol < np.inf, "positive and finite"),
                 ("cg_max_iter", self.cg_max_iter is None

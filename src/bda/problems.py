@@ -595,8 +595,8 @@ def make_hypercleaning(cfg: HypercleanConfig) -> BilevelProblem:
     for split_lo, split_hi in ((0, cfg.n_train),
                                (cfg.n_train, cfg.n_train + cfg.n_val),
                                (cfg.n_train + cfg.n_val, total)):
-        present = np.unique(labels[split_lo:split_hi])
-        if present.size < C:
+        # np.bincount, not np.unique, which imports numpy.ma on first call
+        if np.bincount(labels[split_lo:split_hi], minlength=C).min() == 0:
             raise ContractError(
                 "hyperclean: a class has zero samples in one split; "
                 "use a different seed or larger splits")

@@ -816,6 +816,34 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert done.stdout.strip() == str(EXIT_IO), done.stderr
 
 
+def test_import_loads_only_the_modules_a_process_uses():
+    """``import bda`` loads no submodule; building the hyper-cleaning
+    problem then loads ``bda.numerics`` and ``bda.problems`` and no
+    ``numpy.ma``; ``bda.harness`` loads ``argparse`` only for the CLI.  On
+    a numpy whose ``np.unique`` does not import ``numpy.ma`` (CI's Python
+    3.10 leg may get one), or whose ``import numpy`` already loaded it,
+    the ``numpy.ma`` check holds with ``np.unique`` too, and only the
+    ``bda.`` module checks fail with every module imported eagerly."""
+    done = _python("-c", """if True:
+        import json, sys
+        import numpy
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("bda."))
+        import bda
+        seen = {"import": loaded(), "ma_before": "numpy.ma" in sys.modules}
+        bda.make_hypercleaning(bda.HypercleanConfig())
+        seen.update(build=loaded(), ma_after="numpy.ma" in sys.modules)
+        import bda.harness
+        seen["argparse"] = "argparse" in sys.modules
+        print(json.dumps(seen))""")
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["import"] == []
+    assert seen["build"] == ["bda.numerics", "bda.problems"]
+    assert seen["ma_after"] == seen["ma_before"]
+    assert not seen["argparse"]
+
+
 def test_cli_unknown_subcommand_exit_2(capsys):
     assert cli_main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
@@ -1022,6 +1050,9 @@ def test_suite_counterexample_rejects_empty_or_repeated_methods(tmp_path,
                          "problem_params": {"n": 2, "m": 3, "seed": 1.5}}],
     ["run", "--config", {"problem": "lls_quadratic",
                          "problem_params": {"n": 2, "m": 3, "seed": False}}],
+    # moved <= stop_tol never held, so the run went on to T_max
+    ["run", "--config", {"problem": "remark1", "method": "bda", "lambda": 0.1,
+                         "T_max": 2, "stop_tol": -1}],
 ])
 def test_suites_refuse_bad_input_before_creating_out(tmp_path, capsys, argv):
     # each exited 3 but left an empty output directory behind

@@ -44,7 +44,8 @@ def test_solver_config_validation():
         SolverConfig(method="rhg", lam=-1.0)
     # settings that would otherwise abort or stall mid-run
     for bad in ({"lam": np.nan}, {"lam": np.inf}, {"stop_tol": np.nan},
-                {"stop_tol": np.inf}, {"cg_tol": -1.0}, {"cg_tol": 0.0},
+                {"stop_tol": np.inf}, {"stop_tol": -1.0},
+                {"cg_tol": -1.0}, {"cg_tol": 0.0},
                 {"cg_tol": np.nan}, {"cg_tol": np.inf}, {"cg_max_iter": 0}):
         name = next(iter(bad))
         with pytest.raises(ContractError, match=name):

@@ -782,9 +782,17 @@ def test_sigmoid_bitwise_equals_masked_form():
 # ---------------------------------------------------------------------------
 
 def test_every_exported_name_resolves():
+    import importlib
     import bda
     for name in bda.__all__:
-        assert getattr(bda, name) is not None, name
+        value = getattr(bda, name)
+        assert value is not None, name
+        module = importlib.import_module(f"bda.{bda._ORIGIN[name]}")
+        # each name is the object its module defines (bda.solve is
+        # bda.outer.solve), and a module name is the module
+        assert value is (module if name == bda._ORIGIN[name]
+                         else getattr(module, name)), name
+    assert set(bda.__all__) <= set(dir(bda))
     namespace = {}
     exec("from bda import *", namespace)
     assert set(bda.__all__) <= set(namespace)
