@@ -624,15 +624,12 @@ def verify_suite(name: str, out: str) -> dict:
     if "rate" in chosen:
         problem = make_counterexample(5)
         constants, sched, x = rate_check_setup(problem)
-        rep = verify_mod.check_rate_bound(problem, x, sched, k_max=500,
-                                          constants=constants)
-        reports.append(rep)
-        neg = verify_mod.check_rate_bound(
+        rep, neg = verify_mod.check_rate_bound(
             problem, x, sched, k_max=500,
-            constants=verify_mod.corrupted_constants(constants))
+            constants=[constants, verify_mod.corrupted_constants(constants)])
         neg.check_name = "rate_bound_negative_control"
         neg.status = "pass" if neg.violations else "fail"
-        reports.append(neg)
+        reports += [rep, neg]
     if "stationarity" in chosen:
         problem = make_lls_quadratic(1, 2, seed=3)
         s = 0.5 / max(problem.L_F, problem.L_f)

@@ -119,39 +119,43 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
         gradient=g, diagnostics={"truncate_at": kept, "trace": trace})
 
 
-def hypergrad_forward(problem: BilevelProblem, x, K: int,
-                      sched: AggregationSchedule, mode: str = "bda",
-                      strict_projection: bool = True) -> HypergradResult:
+def hypergrad_forward(problem: BilevelProblem, x, K: int | list,
+                      sched: AggregationSchedule,
+                      mode: str = "bda") -> HypergradResult:
     """Forward propagation of the iterate Jacobian d y_k / d x.
 
     x may be a (B, n) array, and ``sched`` one schedule per row, as in
     ``run_inner``: the Jacobian is then (B, m, n), the gradient (B, n), each
-    row with the bits of that row alone; a clamped or non-finite row raises
-    for all.
+    row with the bits of that row alone; a non-finite row raises for all.
+    K may be a non-decreasing list: one pass stacks its horizons' gradients
+    in list order, each with its one-horizon bits (alpha_k, beta_k ignore K).
     """
     problem.require(*UNROLL_ORACLES.get(mode, ()))
+    horizons = [K] if np.ndim(K) == 0 else list(K)
+    if not horizons or horizons != sorted(horizons) or horizons[0] < 0:
+        raise ContractError("need one or more non-decreasing horizons K >= 0")
     x = as_vector(x, dim=problem.n, name="x", rows=True)
-    y_K, trace = run_inner(problem, x, K, sched, mode=mode)
-    if strict_projection and trace.proj_active.any():
-        raise CapabilityError(
-            "projection became active along the trajectory; rerun with "
-            "strict_projection=False to use the clamped-row convention")
+    _, trace = run_inner(problem, x, horizons[-1], sched, mode=mode)
 
     # J <- (du/dy) J + du/dx: n yy-products on J's columns, m yx-products for du/dx
     rows = x.shape[:-1]
     J = np.zeros((*rows, problem.m, problem.n))
     cu, cl = _step_coefficients(trace, mode)
-    for k in range(K):
-        at = (None if cu is None else cu[k], cl[k])
-        yy = [_combined(*at, problem.hess_yy_F, problem.hess_yy_f, x,
-                        trace.ys[k], J[..., j]) for j in range(problem.n)]
-        J = J - np.stack(yy, axis=-1) - product_rows(
-            lambda q: _combined(*at, problem.hess_yx_F, problem.hess_yx_f,
-                                x, trace.ys[k], q), problem.m, rows)
-        J[trace.proj_active[k]] = 0.0
-    g = np.asarray(problem.grad_x_F(x, y_K), dtype=float) \
-        + matvec(np.swapaxes(J, -1, -2),
-                 np.asarray(problem.grad_y_F(x, y_K), dtype=float))
+    grads = []
+    for start, stop in zip([0] + horizons, horizons):
+        for k in range(start, stop):
+            at = (None if cu is None else cu[k], cl[k])
+            yy = [_combined(*at, problem.hess_yy_F, problem.hess_yy_f, x,
+                            trace.ys[k], J[..., j]) for j in range(problem.n)]
+            J = J - np.stack(yy, axis=-1) - product_rows(
+                lambda q: _combined(*at, problem.hess_yx_F, problem.hess_yx_f,
+                                    x, trace.ys[k], q), problem.m, rows)
+            J[trace.proj_active[k]] = 0.0
+        y_K = trace.ys[stop]
+        grads.append(np.asarray(problem.grad_x_F(x, y_K), dtype=float)
+                     + matvec(np.swapaxes(J, -1, -2), np.asarray(
+                         problem.grad_y_F(x, y_K), dtype=float)))
+    g = grads[0] if np.ndim(K) == 0 else np.array(grads)
     if not np.isfinite(g).all():
         raise NumericalError("forward hypergradient is non-finite")
     return HypergradResult(

@@ -506,32 +506,31 @@ class _Memo:
     """``fn(arg)`` remembered for the last ``_MEMO_POINTS`` arguments, so a
     backward pass reads the values its forward pass computed at each y_k.
 
-    A 3-D ``arg`` is a stack of matrices, read one at a time; the memo then
-    keeps ``_MEMO_POINTS`` per matrix of the widest stack it has read.  The
-    key is the shape and bytes of an argument, so a value key is never
-    stale: an argument changed in place is a miss.  The oldest entry is
-    evicted first.  Cached arrays are read-only, so no caller can alter a
-    later hit.
+    A 3-D ``arg`` is a stack of matrices, read one at a time; a miss in it
+    keeps ``_MEMO_POINTS`` per matrix of that stack, and any other miss
+    ``_MEMO_POINTS``.  The key is the shape and bytes of an argument, so a
+    value key is never stale: an argument changed in place is a miss.  A
+    miss evicts the oldest entries until the memo is under its bound.
+    Cached arrays are read-only, so no caller can alter a later hit.
     """
 
     def __init__(self, fn):
         self._fn = fn
         self._values = {}  # insertion order is the eviction order
-        self._size = _MEMO_POINTS
         self._lock = threading.Lock()  # a problem may be shared by threads
 
-    def __call__(self, arg):
+    def __call__(self, arg, bound=_MEMO_POINTS):
         arg = np.asarray(arg, dtype=float)
         if arg.ndim == 3:
-            self._size = max(self._size, _MEMO_POINTS * len(arg))
-            return np.stack([self(point) for point in arg])
+            return np.stack([self(point, _MEMO_POINTS * len(arg))
+                             for point in arg])
         key = (arg.shape, arg.tobytes())
         value = self._values.get(key)
         if value is None:
             value = self._fn(arg)
             value.flags.writeable = False
             with self._lock:
-                if len(self._values) >= self._size:
+                while len(self._values) >= bound:
                     del self._values[next(iter(self._values))]
                 self._values[key] = value
         return value

@@ -260,14 +260,14 @@ class CheckReport:
 
 
 def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
-                     k_max: int,
-                     constants: RateConstants | None = None) -> CheckReport:
+                     k_max: int, constants=None) -> CheckReport | list:
     """Evaluate both displayed complexity inequalities for k in [2, k_max].
 
     The distance inequality bounds |y_k - z^l_{k+1}|^2 and the value
     inequality bounds f(z^l_{k+1}) - min_y f, each by constants times
     (1 + ln k) / k^{1/4}.  Violations are data, not errors; they are listed
-    with their k and margin.
+    with their k and margin.  ``constants`` (default: computed at x) may be
+    a list: one measured trajectory is then judged per set, a report each.
     """
     if sched.alpha_rule != "harmonic" or sched.alpha_scale != 1.0:
         raise ContractError("rate bound requires alpha_k = 1 / (k + 1)")
@@ -275,34 +275,38 @@ def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
         raise ContractError("k_max must be >= 2")
     problem.require("f_star_of_x")
     x = as_vector(x, dim=problem.n, name="x")
-    rc = constants if constants is not None else compute_rate_constants(
-        problem, sched, x=x)
+    if constants is None:
+        constants = compute_rate_constants(problem, sched, x=x)
+    sets = constants if isinstance(constants, list) else [constants]
 
-    # need z^l_{k+1} up to k = k_max, i.e. k_max + 1 inner steps
+    # k_max + 1 inner steps give z^l_{k+1} up to k = k_max; rows keep 1-D bits
     _, trace = run_inner(problem, x, k_max + 1, sched, mode="bda")
     _, z_l = _auxiliary_points(problem, x, trace)
-    f_star = float(problem.f_star_of_x(x))
-    total = 2.0 * rc.C2 + rc.C3
-    violations = []
-    worst = math.inf
-    for k in range(2, k_max + 1):
-        decay = (1.0 + math.log(k)) / k ** 0.25
-        lhs_dist = float(np.dot(trace.ys[k] - z_l[k], trace.ys[k] - z_l[k]))
-        rhs_dist = total / rc.beta_lower ** 2 * decay
-        lhs_gap = problem.f(x, z_l[k]) - f_star
-        rhs_gap = rc.D / (rc.beta_lower ** 2 * rc.s_l) \
-            * math.sqrt(total) * math.sqrt(decay)
-        for name, lhs, rhs in (("distance", lhs_dist, rhs_dist),
-                               ("value_gap", lhs_gap, rhs_gap)):
-            margin = rhs - lhs
-            worst = min(worst, margin)
-            if margin < 0:
-                violations.append((k, name, margin))
-    status = "pass" if not violations else "fail"
-    return CheckReport(
-        check_name="rate_bound", status=status, worst_margin=worst,
-        location=f"x={np.array2string(x, precision=3)}, k_max={k_max}",
-        violations=violations, details={"constants": rc})
+    dists = np.vecdot(trace.ys[:-1] - z_l, trace.ys[:-1] - z_l).tolist()
+    gaps = (problem.f(np.broadcast_to(x, (k_max + 1, problem.n)), z_l)
+            - float(problem.f_star_of_x(x))).tolist()
+    reports = []
+    for rc in sets:
+        total = 2.0 * rc.C2 + rc.C3
+        violations = []
+        worst = math.inf
+        for k in range(2, k_max + 1):
+            decay = (1.0 + math.log(k)) / k ** 0.25
+            rhs_dist = total / rc.beta_lower ** 2 * decay
+            rhs_gap = rc.D / (rc.beta_lower ** 2 * rc.s_l) \
+                * math.sqrt(total) * math.sqrt(decay)
+            for name, lhs, rhs in (("distance", dists[k], rhs_dist),
+                                   ("value_gap", gaps[k], rhs_gap)):
+                margin = rhs - lhs
+                worst = min(worst, margin)
+                if margin < 0:
+                    violations.append((k, name, margin))
+        reports.append(CheckReport(
+            check_name="rate_bound",
+            status="pass" if not violations else "fail", worst_margin=worst,
+            location=f"x={np.array2string(x, precision=3)}, k_max={k_max}",
+            violations=violations, details={"constants": rc}))
+    return reports if isinstance(constants, list) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +453,9 @@ def check_stationarity(problem: BilevelProblem, grid, sched: AggregationSchedule
     each horizon in k_list (forward propagation over the aggregated dynamics).
 
     The grid points are the rows of one ``grad_phi_of_x`` call and of one
-    ``hypergrad_forward`` call per horizon; each row has the bits of its
-    point run alone.  An empty grid or k_list is a ContractError: a sup
-    over nothing would pass any bound."""
+    ``hypergrad_forward`` call on all horizons, each with the bits of its
+    point and horizon run alone.  A clamped trajectory is a CapabilityError,
+    an empty grid or k_list a ContractError: a sup over nothing passes."""
     problem.require("grad_phi_of_x")
     points = [as_vector(x, dim=problem.n, name="x") for x in grid]
     horizons = [int(K) for K in k_list]
@@ -459,8 +463,9 @@ def check_stationarity(problem: BilevelProblem, grid, sched: AggregationSchedule
         raise ContractError("check_stationarity: empty grid or k_list")
     X = np.array(points)
     exact = problem.grad_phi_of_x(X)
-    sup_errors = []
-    for K in horizons:
-        approx = hypergrad_forward(problem, X, K, sched, mode="bda").gradient
-        sup_errors.append(max(float(np.linalg.norm(d)) for d in approx - exact))
-    return np.asarray(sup_errors)
+    res = hypergrad_forward(problem, X, sorted(horizons), sched, mode="bda")
+    if res.diagnostics["projection_hit"]:
+        raise CapabilityError("projection became active along the trajectory")
+    sup_errors = {K: max(float(np.linalg.norm(d)) for d in approx - exact)
+                  for K, approx in zip(sorted(horizons), res.gradient)}
+    return np.asarray([sup_errors[K] for K in horizons])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bda.harness
+import bda.verify
 from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_USAGE, ConfigError, _max_workers, _run_jobs,
                          cli_main, emit_inner_trace, emit_trace, f1_score,
@@ -19,7 +20,7 @@ from bda.harness import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          parse_trace, run_experiment, suite_counterexample,
                          suite_hyperclean, default_hyperclean_solver,
                          verify_suite, write_summary)
-from bda.inner import AggregationSchedule
+from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import ContractError, NumericalError
 from bda.outer import METHODS, SolverConfig, config_dict, solve
 from bda.problems import (HypercleanConfig, make_counterexample,
@@ -910,6 +911,22 @@ def test_cli_verify_rate_suite(tmp_path, capsys):
     # the corrupted-constant control counts as pass only when it fires
     assert names["rate_bound_negative_control"] == "pass"
     capsys.readouterr()
+
+
+def test_verify_rate_measures_one_trajectory(tmp_path, monkeypatch):
+    # the negative control judges the audit's own 501-step run again
+    steps = []
+
+    def counted(problem, x, K, *args, **kwargs):
+        steps.append(K)
+        return run_inner(problem, x, K, *args, **kwargs)
+
+    monkeypatch.setattr(bda.verify, "run_inner", counted)
+    payload = verify_suite("rate", str(tmp_path / "v"))
+    assert steps == [501]
+    assert [r["check_name"] for r in payload["reports"]] == \
+        ["rate_bound", "rate_bound_negative_control"]
+    assert payload["all_pass"]
 
 
 # ---------------------------------------------------------------------------

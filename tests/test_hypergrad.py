@@ -99,8 +99,7 @@ def test_reverse_equals_forward_through_clamping_box(n, m, seed, K, mode):
     sched = AggregationSchedule(mu=0.3, s_u=s, s_l=s, alpha_rule="harmonic")
     x = q.region_x.project(2.0 * rng_stream(seed).standard_normal(n))
     gr = hypergrad_reverse(q, x, K, sched, mode=mode).gradient
-    gf = hypergrad_forward(q, x, K, sched, mode=mode,
-                           strict_projection=False).gradient
+    gf = hypergrad_forward(q, x, K, sched, mode=mode).gradient
     assert np.linalg.norm(gr - gf) <= 1e-10 * max(np.linalg.norm(gr), 1e-12)
 
 
@@ -291,45 +290,59 @@ def test_reverse_takes_x_side_products_in_one_row_call(rows, mode,
         {name: v for name, v in want.items() if v}
 
 
+HORIZONS = [0, 2, 2, 6]  # a zero horizon and a repeat
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
 @given(clamped=st.booleans(), n=st.integers(1, 4), rows=st.integers(1, 4),
        mode=st.sampled_from(["bda", "plain"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_forward_on_rows_equals_each_row_alone(clamped, n, rows, mode, seed):
     # the counterexample's tight box clamps some steps of some rows only;
-    # lls_quadratic runs unclamped, under the strict default
+    # lls_quadratic runs unclamped.  One pass answers every horizon, each
+    # with the bits of its one-horizon call, row by row
     if clamped:
         p = make_counterexample(n, y_radius=0.6)
     else:
         p = make_lls_quadratic(n, n + 2, seed=seed)
     sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
     X = 1.5 * rng_stream(seed).standard_normal((rows, n))
-    res = hypergrad_forward(p, X, 6, sched, mode=mode,
-                            strict_projection=not clamped)
-    assert res.gradient.shape == (rows, n)
+    res = hypergrad_forward(p, X, HORIZONS, sched, mode=mode)
+    assert res.gradient.shape == (len(HORIZONS), rows, n)
     hits = []
-    for b in range(rows):
-        alone = hypergrad_forward(p, X[b], 6, sched, mode=mode,
-                                  strict_projection=not clamped)
-        np.testing.assert_array_equal(res.gradient[b], alone.gradient)
-        hits.append(alone.diagnostics["projection_hit"])
+    for K, grads in zip(HORIZONS, res.gradient):
+        one = hypergrad_forward(p, X, K, sched, mode=mode)
+        assert grads.tobytes() == one.gradient.tobytes()
+        for b in range(rows):
+            alone = hypergrad_forward(p, X[b], K, sched, mode=mode)
+            assert grads[b].tobytes() == alone.gradient.tobytes()
+            hits.append(alone.diagnostics["projection_hit"])
     assert res.diagnostics["projection_hit"] == any(hits)
 
 
 def test_forward_on_rows_mixes_clamped_and_free_rows():
-    # row 1 clamps and row 0 does not; each keeps its own bits, and under
-    # the strict default the one clamped row raises for both
+    # row 1 clamps and row 0 does not; each keeps its own bits under the
+    # 0/1 convention, and the call reports that a row clamped
     p = make_counterexample(2, y_radius=0.6)
     sched = AggregationSchedule(mu=0.3, s_u=0.1, s_l=0.1)
     X = np.array([[0.1, -0.2], [1.5, 2.0]])
-    res = hypergrad_forward(p, X, 6, sched, strict_projection=False)
-    alone = [hypergrad_forward(p, x, 6, sched, strict_projection=False)
-             for x in X]
+    res = hypergrad_forward(p, X, 6, sched)
+    alone = [hypergrad_forward(p, x, 6, sched) for x in X]
     assert [a.diagnostics["projection_hit"] for a in alone] == [False, True]
+    assert res.diagnostics["projection_hit"]
     for row, a in zip(res.gradient, alone):
         np.testing.assert_array_equal(row, a.gradient)
-    with pytest.raises(CapabilityError, match="projection"):
-        hypergrad_forward(p, X, 6, sched)
+
+
+def test_forward_horizons_are_one_int_or_a_non_decreasing_list():
+    q = make_lls_quadratic(2, 3, seed=2)
+    sched = AggregationSchedule(mu=0.2, s_u=0.1, s_l=0.1)
+    x = np.array([0.1, 0.2])
+    assert hypergrad_forward(q, x, 3, sched).gradient.shape == (2,)
+    assert hypergrad_forward(q, x, [3], sched).gradient.shape == (1, 2)
+    for bad in ([], [3, 2], [-1, 2], -1):
+        with pytest.raises(ContractError, match="horizons"):
+            hypergrad_forward(q, x, bad, sched)
 
 
 def test_forward_zero_horizon():
@@ -352,16 +365,16 @@ def test_forward_jacobian_geometric_limit():
     assert J == pytest.approx(0.5, abs=1e-12)
 
 
-def test_forward_strict_projection_refusal_and_convention():
+def test_forward_differentiates_a_clamped_run_like_reverse_mode():
+    # the box clamps every step: both routes zero the clamped coordinates
     tight = make_counterexample(2, y_radius=0.05)
     sched = AggregationSchedule(mu=0.2, s_u=0.1, s_l=0.1)
     x = 1.5 * np.ones(2)
-    with pytest.raises(CapabilityError):
-        hypergrad_forward(tight, x, 5, sched, mode="bda")
-    res = hypergrad_forward(tight, x, 5, sched, mode="bda",
-                            strict_projection=False)
+    res = hypergrad_forward(tight, x, 5, sched, mode="bda")
     assert np.all(np.isfinite(res.gradient))
     assert res.diagnostics["projection_hit"]
+    rev = hypergrad_reverse(tight, x, 5, sched, mode="bda").gradient
+    assert np.linalg.norm(rev - res.gradient) <= 1e-12 * np.linalg.norm(rev)
 
 
 def test_unrolled_estimators_match_finite_differences():

@@ -612,6 +612,32 @@ def test_memo_shared_between_threads_keeps_its_bound():
     assert len(memo._values) <= _MEMO_POINTS
 
 
+def test_memo_bound_follows_the_last_call():
+    # a stack of B matrices keeps 64 B entries; the next narrower call's
+    # miss evicts the oldest down to 64, and its hits evict nothing
+    memo = problems._Memo(lambda a: 2.0 * a)
+    stack = np.arange(3 * _MEMO_POINTS, dtype=float).reshape(-1, 1, 1)
+    memo(stack[:2 * _MEMO_POINTS])
+    memo(stack[_MEMO_POINTS:])
+    assert len(memo._values) == 3 * _MEMO_POINTS
+    memo(stack[-1])
+    assert len(memo._values) == 3 * _MEMO_POINTS
+    memo(np.array([[-1.0]]))
+    assert list(memo._values)[0][1] == stack[2 * _MEMO_POINTS + 1].tobytes()
+    assert len(memo._values) == _MEMO_POINTS
+
+
+def test_solo_solve_after_the_step_probes_keeps_one_run_per_memo():
+    # default_lambda's four probes are one stacked call; the solve after
+    # them keeps the 64 points of a solo run, not 256
+    problem = _hc_problem(seed=1)
+    cfg = dataclasses.replace(default_hyperclean_solver(problem, "bda"),
+                              lam=None, T_max=3)
+    assert solve(problem, cfg).T == 3
+    for split in ("train", "val"):
+        assert len(problem.metadata[split].probs._values) <= _MEMO_POINTS
+
+
 def _pass_through_problem(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(problems, "_Memo", lambda fn: fn)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bda import hypergrad
 from bda.hypergrad import hypergrad_forward, hypergrad_reverse
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
@@ -179,6 +180,45 @@ def test_rate_bound_negative_control_fires():
     assert bad.violations
 
 
+def _rate_report_by_points(problem, x, sched, k_max, rc):
+    # the audit before it took rows: one np.dot and one f call per k
+    _, trace = run_inner(problem, x, k_max + 1, sched, mode="bda")
+    _, z_l = _auxiliary_points(problem, x, trace)
+    f_star = float(problem.f_star_of_x(x))
+    total = 2.0 * rc.C2 + rc.C3
+    violations, worst = [], math.inf
+    for k in range(2, k_max + 1):
+        decay = (1.0 + math.log(k)) / k ** 0.25
+        d = trace.ys[k] - z_l[k]
+        for name, lhs, rhs in (
+                ("distance", float(np.dot(d, d)),
+                 total / rc.beta_lower ** 2 * decay),
+                ("value_gap", problem.f(x, z_l[k]) - f_star,
+                 rc.D / (rc.beta_lower ** 2 * rc.s_l) * math.sqrt(total)
+                 * math.sqrt(decay))):
+            worst = min(worst, rhs - lhs)
+            if rhs - lhs < 0:
+                violations.append((k, name, rhs - lhs))
+    return worst, violations
+
+
+@pytest.mark.parametrize("n,x_point", [(2, 1.5), (5, 0.9)])
+def test_rate_bound_judges_one_trajectory_against_each_set(n, x_point):
+    problem, sched, x = _rate_setup(n=n, y_radius=2.0, x_point=x_point)
+    rc = compute_rate_constants(problem, sched, x=x)
+    sets = [rc, corrupted_constants(rc), rc]
+    both = check_rate_bound(problem, x, sched, k_max=100, constants=sets)
+    assert [r.status for r in both] == ["pass", "fail", "pass"]
+    for rep, c in zip(both, sets):
+        one = check_rate_bound(problem, x, sched, k_max=100, constants=c)
+        assert (rep.status, rep.worst_margin, rep.violations, rep.location) \
+            == (one.status, one.worst_margin, one.violations, one.location)
+        assert rep.details["constants"] is c
+        assert (rep.worst_margin, rep.violations) == \
+            _rate_report_by_points(problem, x, sched, 100, c)
+    assert check_rate_bound(problem, x, sched, k_max=100, constants=[]) == []
+
+
 # ---------------------------------------------------------------------------
 # descent inequality
 # ---------------------------------------------------------------------------
@@ -332,6 +372,36 @@ def test_stationarity_rows_equal_the_per_point_loop():
             - p.grad_phi_of_x(x))) for x in grid) for K in k_list]
         errs = check_stationarity(p, grid, sched, k_list)
         assert errs.tobytes() == np.array(expected).tobytes(), p.name
+
+
+def test_stationarity_runs_one_pass_to_the_largest_horizon(monkeypatch):
+    # horizons in any order, repeated, answered from one forward pass with
+    # the errors of one audit per horizon
+    p, sched, grid = _criterion7()
+    alone = {K: check_stationarity(p, grid, sched, [K]) for K in (10, 100, 1000)}
+    steps = []
+
+    def counted(problem, x, K, *args, **kwargs):
+        steps.append(K)
+        return run_inner(problem, x, K, *args, **kwargs)
+
+    monkeypatch.setattr(hypergrad, "run_inner", counted)
+    errs = check_stationarity(p, grid, sched, [1000, 10, 100, 10])
+    assert steps == [1000]
+    assert errs.tobytes() == np.concatenate(
+        [alone[K] for K in (1000, 10, 100, 10)]).tobytes()
+
+
+def test_stationarity_refuses_a_clamped_trajectory():
+    # a box that clamps the run: grad phi of the free problem is no
+    # reference for it, whichever way the projection is differentiated
+    p, sched, grid = _criterion7()
+    boxed = dataclasses.replace(p, region_y=BoxRegion.cube(p.m, -0.01, 0.01))
+    with pytest.raises(CapabilityError, match="projection became active"):
+        check_stationarity(boxed, grid, sched, [10, 100])
+    # the refusal is the audit's: the route answers under its convention
+    res = hypergrad_forward(boxed, np.array(grid), 10, sched)
+    assert res.diagnostics["projection_hit"]
 
 
 def test_stationarity_rejects_an_empty_grid_or_horizon_list():
