@@ -663,7 +663,10 @@ def rate_check_setup(problem: BilevelProblem):
     s_u = 0.5 / rc_probe.L_F
     sched = AggregationSchedule(mu=0.1, s_u=s_u, s_l=0.1,
                                 alpha_rule="harmonic")
-    constants = verify_mod.compute_rate_constants(problem, sched, x=x)
+    # the probe's L_F, declared, spares a second Hessian sweep of X x Y;
+    # it is already inflated, so the constants keep their floats
+    constants = verify_mod.compute_rate_constants(
+        replace(problem, L_F=rc_probe.L_F), sched, x=x)
     return constants, sched, x
 
 

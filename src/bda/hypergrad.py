@@ -1,9 +1,10 @@
 """Hypergradient estimators for the approximate value function x -> F(x, y_K(x)).
 
 Four routes are provided: reverse-mode unrolling of the exact inner update
-maps (optionally truncated), forward-mode Jacobian propagation, the implicit
-route through the lower-level optimality system, and the single-step
-finite-difference scheme, all on the problem's Hessian-vector products.
+maps (optionally truncated), forward-mode Jacobian propagation and the
+implicit route through the lower-level optimality system, all three on the
+problem's Hessian-vector products, and the single-step finite-difference
+scheme, on its gradients alone.
 Unrolled estimators differentiate through an active box projection with the
 diagonal 0/1 generalized Jacobian that zeroes clamped coordinates.  Every
 route takes one point or (B, n) rows of points, each row with the bits of
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import (AggregationSchedule, InnerTrace, run_inner,
-                    schedule_rows)
+from .inner import (AggregationSchedule, _step, _step_coefficients,
+                    run_inner, schedule_rows)
 from .numerics import CapabilityError, ContractError, NumericalError, as_vector
 from .problems import BilevelProblem, matvec, product_rows
 
@@ -33,20 +34,6 @@ UNROLL_ORACLES = {"plain": ("hess_yy_f", "hess_yx_f"),
                   "bda": ("hess_yy_f", "hess_yx_f", "hess_yy_F", "hess_yx_F")}
 IMPLICIT_ORACLES = ("hess_yy_f", "hess_yx_f")
 ONESTAGE_ORACLES = ("grad_x_f",)
-
-
-def _step_coefficients(trace: InnerTrace, mode: str):
-    """(c_u, c_l): the weights of grad_y F and grad_y f in the pre-projection
-    update u_k = y_k - (c_u,k grad_y F + c_l,k grad_y f) of each step of
-    ``trace``, built once per pass with the step's own expressions: (K,)
-    floats for one schedule, (K, B, 1) columns for one schedule per row.
-    The aggregated step has c_u,k = mu alpha_k s_u and c_l,k = (1 - mu)
-    beta_k s_l, plain descent c_u = None and c_l = s_l."""
-    sched = trace.sched
-    if mode == "plain":
-        return None, sched.s_l * np.ones_like(trace.betas)
-    return (sched.mu * trace.alphas * sched.s_u,
-            (1.0 - sched.mu) * trace.betas * sched.s_l)
 
 
 def _combined(cu, cl, product_F, product_f, x, y, q):
@@ -79,7 +66,7 @@ def hypergrad_reverse(problem: BilevelProblem, x, K: int,
         raise ContractError("truncate_at must lie in [0, K]")
     x = as_vector(x, dim=problem.n, name="x", rows=True)
     y_K, trace = run_inner(problem, x, K, sched, mode=mode, y0=y0)
-    cu, cl = _step_coefficients(trace, mode)
+    cu, cl = _step_coefficients(trace.sched, trace.alphas, trace.betas, mode)
 
     p = np.asarray(problem.grad_y_F(x, y_K), dtype=float)
     g = np.array(problem.grad_x_F(x, y_K), dtype=float)
@@ -140,7 +127,7 @@ def hypergrad_forward(problem: BilevelProblem, x, K: int | list,
     # J <- (du/dy) J + du/dx: n yy-products on J's columns, m yx-products for du/dx
     rows = x.shape[:-1]
     J = np.zeros((*rows, problem.m, problem.n))
-    cu, cl = _step_coefficients(trace, mode)
+    cu, cl = _step_coefficients(trace.sched, trace.alphas, trace.betas, mode)
     grads = []
     for start, stop in zip([0] + horizons, horizons):
         for k in range(start, stop):
@@ -247,14 +234,13 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
                        eps: float = 1e-4) -> HypergradResult:
     """Single aggregated step followed by a finite-difference correction.
 
-    The step uses the combined objective alpha*F + beta*f with the
-    aggregation weights folded in (alpha = mu*alpha_0*s_u/s_l,
-    beta = (1-mu)*beta_0) and step size s = s_l, which reproduces the
-    aggregated update exactly.  When the step stays interior, the mixed
-    second-derivative term of the one-step chain rule is replaced by a
-    central difference of grad_x(alpha*F + beta*f); when the projection
-    clips the step, a nested four-point difference through the projection
-    is used instead.
+    The step is ``run_inner``'s first: y1 has the bits of
+    ``run_inner(problem, x, 1, sched, y0=y0)``'s, and the step is clipped
+    exactly where that run records ``proj_active``.  With c_u and c_l the
+    step's weights of grad_y F and grad_y f, the mixed second-derivative
+    term of the one-step chain rule is a central difference of
+    grad_x(c_u F + c_l f) when the step stays interior, and a nested
+    four-point difference through the projection when it is clipped.
 
     x and y0 may be (B, n) and (B, m) rows, and ``sched`` one schedule per
     row, as in ``run_inner``: each row is solved alone under its own
@@ -265,7 +251,7 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
         raise ContractError("hypergrad_onestage: eps must be positive")
     problem.require(*ONESTAGE_ORACLES)
     x = as_vector(x, dim=problem.n, name="x", rows=True)
-    y0 = problem.region_y.project(
+    y0 = problem.region_y.clamp(
         as_vector(y0, dim=problem.m, name="y0", rows=True))
     if x.shape[:-1] != y0.shape[:-1]:
         raise ContractError(f"hypergrad_onestage: y0 of shape {y0.shape} "
@@ -278,22 +264,14 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
                          for xb, yb, sb in zip(x, y0, scheds)],
                         x, ("branch", "y1"))
     alphas, betas = sched.weights(1)
-
-    s = sched.s_l
-    alpha = sched.mu * alphas[0] * sched.s_u / sched.s_l
-    beta = (1.0 - sched.mu) * betas[0]
-
-    def grad_y_phi(yv):
-        return alpha * np.asarray(problem.grad_y_F(x, yv)) \
-            + beta * np.asarray(problem.grad_y_f(x, yv))
+    y1, z0 = _step(problem, x, y0, 0, sched.s_l, sched, alphas[0], betas[0])
+    projected = bool((y1 != z0).any())
+    (c_u,), (c_l,) = _step_coefficients(sched, alphas, betas, "bda")
 
     def grad_x_phi(yv):
-        return alpha * np.asarray(problem.grad_x_F(x, yv)) \
-            + beta * np.asarray(problem.grad_x_f(x, yv))
+        return c_u * np.asarray(problem.grad_x_F(x, yv)) \
+            + c_l * np.asarray(problem.grad_x_f(x, yv))
 
-    z0 = y0 - s * grad_y_phi(y0)
-    projected = bool(problem.region_y.active_mask(z0).any())
-    y1 = problem.region_y.project(z0)
     v = np.asarray(problem.grad_y_F(x, y1), dtype=float)
     g_direct = np.asarray(problem.grad_x_F(x, y1), dtype=float)
 
@@ -312,8 +290,7 @@ def hypergrad_onestage(problem: BilevelProblem, x, y0,
                              f"in floating point")
     diffs = [grad_x_phi(h_plus) - grad_x_phi(h_minus)
              for h_plus, h_minus in pairs]
-    g = g_direct - s * (diffs[0] - diffs[1] if projected else diffs[0]) \
-        / scale
+    g = g_direct - (diffs[0] - diffs[1] if projected else diffs[0]) / scale
     if not np.isfinite(g).all():
         raise NumericalError("one-stage hypergradient is non-finite")
     return HypergradResult(gradient=g, diagnostics={

@@ -8,9 +8,12 @@ The aggregated step mixes scaled descent directions of both objectives,
 and is computed as the convex combination of the two auxiliary points
 z_u = y_k - s_u * alpha_k * grad_y F and z_l = y_k - s_l * beta_k * grad_y f
 so that, when the projection is inactive, y_{k+1} equals
-mu * z_u + (1 - mu) * z_l bit-for-bit.  The auxiliary points are locals of
-the step; the trace keeps the iterates, the weights and the clamped
-coordinates, and the audits in ``verify`` derive z_u and z_l from them.
+mu * z_u + (1 - mu) * z_l bit-for-bit.  This module alone writes that
+algebra: ``_auxiliary_points`` gives z_u and z_l, ``_step`` combines and
+clamps them, and ``_step_coefficients`` gives the weights of the two
+gradients that the hypergradient routes differentiate.  The trace keeps the
+iterates, the weights and the clamped coordinates, and the audits in
+``verify`` derive z_u and z_l from them.
 """
 from __future__ import annotations
 
@@ -167,6 +170,29 @@ def _step_error(k, gF, gf, pre) -> Exception:
     return ContractError(f"{where}: pre-projection point has shape {pre.shape}")
 
 
+def _auxiliary_points(problem: BilevelProblem, x, y, sched, alpha, beta):
+    """(z_u, z_l, grad_y F, grad_y f) at (x, y) under ``sched`` and the
+    weights alpha, beta: z_u = y - alpha s_u grad_y F and
+    z_l = y - beta s_l grad_y f.  Points, (B, m) rows with (B, 1) weight
+    columns, and a trace's steps as rows all take these expressions."""
+    gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
+    gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
+    return y - alpha * (sched.s_u * gF), y - beta * (sched.s_l * gf), gF, gf
+
+
+def _step_coefficients(sched, alphas, betas, mode: str):
+    """(c_u, c_l): the weights of grad_y F and grad_y f in the pre-projection
+    point u_k = y_k - (c_u,k grad_y F + c_l,k grad_y f) of each step with
+    weights ``alphas``, ``betas``: (K,) floats for one schedule, (K, B, 1)
+    columns for one schedule per row.  The aggregated step has
+    c_u,k = mu alpha_k s_u and c_l,k = (1 - mu) beta_k s_l, plain descent
+    c_u = None and c_l = s_l."""
+    if mode == "plain":
+        return None, sched.s_l * np.ones_like(betas)
+    return (sched.mu * alphas * sched.s_u,
+            (1.0 - sched.mu) * betas * sched.s_l)
+
+
 def _step(problem: BilevelProblem, x, y, k, s_l: float,
           sched: AggregationSchedule | None = None,
           alpha: float = 0.0, beta: float = 0.0):
@@ -179,10 +205,7 @@ def _step(problem: BilevelProblem, x, y, k, s_l: float,
         gF, gf = None, np.asarray(problem.grad_y_f(x, y), dtype=float)
         pre = y - s_l * gf
     else:
-        gF = np.asarray(problem.grad_y_F(x, y), dtype=float)
-        gf = np.asarray(problem.grad_y_f(x, y), dtype=float)
-        z_u = y - alpha * (sched.s_u * gF)
-        z_l = y - beta * (s_l * gf)
+        z_u, z_l, gF, gf = _auxiliary_points(problem, x, y, sched, alpha, beta)
         pre = sched.mu * z_u + (1.0 - sched.mu) * z_l
     if pre.shape != y.shape or not np.isfinite(pre).all():
         raise _step_error(k, gF, gf, pre)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hypergrad import hypergrad_forward
+from . import inner
 from .inner import AggregationSchedule, InnerTrace, run_inner
 from .numerics import (CapabilityError, ContractError, NumericalError,
                        as_vector, rng_stream)
@@ -184,14 +185,13 @@ def _sample_points(problem: BilevelProblem, rng, count: int):
 
 
 def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
-                           x=None) -> RateConstants:
+                           x) -> RateConstants:
     """Over-estimated suprema and the explicit constants of the complexity bound.
 
     D is the diameter of Y; M_F, M_f (and the smoothness constants the problem
     does not declare) are suprema over 200 samples of X x Y from seed 0, all
     inflated by 5% so the resulting constants remain valid over-estimates.
-    The value-function term is evaluated at ``x`` when given, otherwise at
-    the sampled supremum.
+    The value-function term is evaluated at ``x``.
     """
     if not (problem.region_x.is_bounded and problem.region_y.is_bounded):
         raise CapabilityError("rate constants need compact X and Y")
@@ -224,10 +224,7 @@ def compute_rate_constants(problem: BilevelProblem, sched: AggregationSchedule,
         raise ContractError("rate constants: " + "; ".join(breaches))
 
     M0 = problem.F_lower_bound
-    if x is not None:
-        phi_x = float(problem.phi_star_of_x(as_vector(x, dim=problem.n)))
-    else:
-        phi_x = _sampled_sup(problem.phi_star_of_x(xs), infl)
+    phi_x = float(problem.phi_star_of_x(as_vector(x, dim=problem.n)))
 
     beta_lower = sched.beta_lower
     c_beta = sched.c_beta
@@ -315,18 +312,15 @@ def check_rate_bound(problem: BilevelProblem, x, sched: AggregationSchedule,
 
 def _auxiliary_points(problem: BilevelProblem, x, trace: InnerTrace):
     """(z_u, z_l) at every y_k of a 'bda' trace from one checked x, by the
-    step's own expressions in one row call per gradient: the bits the step
+    step's own helper in one row call per gradient: the bits the step
     computed.  A trace of rows of x, or of no steps, is refused."""
     if trace.ys.shape != (trace.K + 1, problem.m) or trace.K < 1:
         raise ContractError(f"audits read a trace of one x with at least one "
                             f"step, got ys of shape {trace.ys.shape}")
-    sched = trace.sched
-    ys = trace.ys[:-1]
-    rows = (np.broadcast_to(x, (trace.K, problem.n)), ys)
-    g_F = np.asarray(problem.grad_y_F(*rows), dtype=float)
-    g_f = np.asarray(problem.grad_y_f(*rows), dtype=float)
-    return (ys - trace.alphas[:, None] * (sched.s_u * g_F),
-            ys - trace.betas[:, None] * (sched.s_l * g_f))
+    z_u, z_l, _, _ = inner._auxiliary_points(
+        problem, np.broadcast_to(x, (trace.K, problem.n)), trace.ys[:-1],
+        trace.sched, trace.alphas[:, None], trace.betas[:, None])
+    return z_u, z_l
 
 
 def _slack(problem: BilevelProblem, x, trace: InnerTrace, k: int, y_test,

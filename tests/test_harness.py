@@ -929,6 +929,22 @@ def test_verify_rate_measures_one_trajectory(tmp_path, monkeypatch):
     assert payload["all_pass"]
 
 
+def test_rate_setup_samples_the_hessian_once():
+    # the second constants call reads the probe's sampled L_F instead of
+    # sweeping X x Y again, and lands on the constants of a fresh sweep
+    base = make_counterexample(5)
+    calls = []
+
+    def hess_yy_F(x, y, v):
+        calls.append(len(y))
+        return base.hess_yy_F(x, y, v)
+
+    problem = dataclasses.replace(base, hess_yy_F=hess_yy_F)
+    constants, sched, x = bda.harness.rate_check_setup(problem)
+    assert len(calls) == problem.m == 10
+    assert constants == bda.verify.compute_rate_constants(base, sched, x)
+
+
 # ---------------------------------------------------------------------------
 # counter-example suite
 # ---------------------------------------------------------------------------

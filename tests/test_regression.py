@@ -9,7 +9,10 @@ inner state instead.
 
 Regenerate the reference after a deliberate numerical change with
 
-    PYTHONPATH=src python tests/test_regression.py
+    PYTHONPATH=src python tests/test_regression.py [CASE ...]
+
+where each CASE is a key of the record, such as ``remark1/obda``: only the
+named entries are rewritten, and every entry when none is named.
 """
 import json
 import os
@@ -19,7 +22,7 @@ import pytest
 
 from bda.harness import load_config, parse_trace, run_experiment
 from bda.hypergrad import hypergrad_onestage
-from bda.inner import default_y0
+from bda.inner import default_y0, run_inner
 from bda.outer import solve
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -133,6 +136,9 @@ def test_obda_inner_trace_follows_carried_state(tmp_path, problem):
         x = record.xs[t]
         y_next = hypergrad_onestage(p, x, y,
                                     exp.solver.sched).diagnostics["y1"]
+        # the carried state is the aggregated step's, bit for bit
+        _, trace = run_inner(p, x, 1, exp.solver.sched, mode="bda", y0=y)
+        assert y_next.tobytes() == trace.ys[1].tobytes()
         for k, yk in enumerate((y, y_next)):
             assert inner["f_val"][2 * t + k] == p.f(x, yk)
             assert inner["F_val"][2 * t + k] == p.F(x, yk)
@@ -142,15 +148,23 @@ def test_obda_inner_trace_follows_carried_state(tmp_path, problem):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or [f"{prob}/{meth}" for prob, meth in CASES]
+    unknown = sorted(set(names) - {f"{prob}/{meth}" for prob, meth in CASES})
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
     out = {}
-    for prob, meth in CASES:
+    if sys.argv[1:]:  # the other entries keep their stored values
+        with open(REFERENCE, encoding="utf-8") as fh:
+            out = json.load(fh)
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            obs = _observe(prob, meth, tmp)
-        if meth == "obda":
+            obs = _observe(*name.split("/"), tmp)
+        if name.endswith("/obda"):
             del obs["inner_trace"]
-        out[f"{prob}/{meth}"] = obs
+        out[name] = obs
     with open(REFERENCE, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")

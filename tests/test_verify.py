@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bda import hypergrad
-from bda.hypergrad import hypergrad_forward, hypergrad_reverse
+from bda.hypergrad import (hypergrad_forward, hypergrad_onestage,
+                           hypergrad_reverse)
 from bda.inner import AggregationSchedule, run_inner
 from bda.numerics import BoxRegion, CapabilityError, ContractError, rng_stream
-from bda.problems import (lls_quadratic, make_counterexample,
+from bda.problems import (HypercleanConfig, lls_quadratic,
+                          make_counterexample, make_hypercleaning,
                           make_lls_quadratic, make_remark1, product_rows)
 from bda.verify import (TOLERANCES, _auxiliary_points, _sample_points,
                         _sampled_sup, check_descent_inequality,
@@ -311,6 +313,46 @@ def test_derived_auxiliary_points_are_the_steps_own(kind, n, seed, K, alpha,
         pre = sched.mu * z_u[k] + (1.0 - sched.mu) * z_l[k]
         assert q.region_y.clamp(pre).tobytes() == trace.ys[k + 1].tobytes()
         assert (trace.proj_active[k] == (trace.ys[k + 1] != pre)).all()
+
+
+# (problem, step size) for one aggregated step: the counterexample's and
+# lls_quadratic's boxes clamp some steps, remark1's and hyperclean's none
+ONESTAGE_PROBLEMS = {
+    "counterexample": lambda n, seed: (make_counterexample(
+        n, y_radius=0.6), 0.1),
+    "remark1": lambda n, seed: (make_remark1(), 0.1),
+    "lls": lambda n, seed: (dataclasses.replace(
+        make_lls_quadratic(n, n + 2, seed=seed),
+        region_y=BoxRegion.cube(n + 2, -0.3, 0.3)), None),
+    "hyperclean": lambda n, seed: (make_hypercleaning(
+        HypercleanConfig(seed=1)), 0.004),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(kind=st.sampled_from(sorted(ONESTAGE_PROBLEMS)), n=st.integers(1, 3),
+       rows=st.integers(0, 3), mixed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_onestage_step_is_the_inner_step(kind, n, rows, mixed, seed):
+    # byte for byte: the one-stage route's y1 is run_inner's first step,
+    # and it takes its projected branch exactly where that step clamps
+    p, s = ONESTAGE_PROBLEMS[kind](n, seed % 1000)
+    s = s or 0.5 / max(p.L_F, p.L_f)
+    variants = [dict(), dict(mu=0.5, alpha_rule="constant", alpha_scale=0.3),
+                dict(mu=0.1, s_u=2.0 * s, beta_start=0.9, beta_lower=0.5)]
+    scheds = [AggregationSchedule(**{"mu": 0.3, "s_u": s, "s_l": s, **v})
+              for v in variants]
+    sched = [scheds[i % 3] for i in range(rows)] if rows and mixed \
+        else scheds[seed % 3]
+    rng = rng_stream(seed)
+    lead = (rows,) if rows else ()
+    x = p.region_x.project(1.5 * rng.standard_normal((*lead, p.n)))
+    y0 = rng.standard_normal((*lead, p.m))
+    res = hypergrad_onestage(p, x, y0, sched, eps=1e-6)
+    _, trace = run_inner(p, x, 1, sched, mode="bda", y0=y0)
+    assert res.diagnostics["y1"].tobytes() == trace.ys[1].tobytes()
+    clamped = trace.proj_active[0].any(axis=-1)
+    assert ((res.diagnostics["branch"] == "projected") == clamped).all()
 
 
 def test_check_report_json_shape():
